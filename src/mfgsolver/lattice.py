@@ -206,15 +206,6 @@ class TransitionRow:
     source: int
     targets: list  # (flat index, probability) pairs
 
-    def as_dict(self) -> dict:
-        return dict(self.targets)
-
-    def probability_vector(self, n_nodes: int) -> np.ndarray:
-        out = np.zeros(n_nodes)
-        for idx, p in self.targets:
-            out[idx] += p
-        return out
-
 
 def transition_row(problem, lattice: Lattice, steps: StepSizes, t: float,
                    x_index: int, m, alpha: np.ndarray) -> TransitionRow:
@@ -286,8 +277,7 @@ def control_grid(problem, points_per_axis: int = 16) -> np.ndarray:
 
 
 def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
-                      m_path, controls: np.ndarray,
-                      start_index: int = 0):
+                      m_path, controls: np.ndarray):
     """Backward sweep minimizing cost over the control grid.
 
     ``m_path`` supplies one measure slice per time index (n_time+1 entries).
@@ -308,7 +298,7 @@ def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
     field = np.empty((steps.n_time, n_nodes, k))
     values[-1] = problem.terminal_cost(lattice.points, m_path[-1])
     alphas = np.broadcast_to(controls[None, :, :], (n_nodes,) + controls.shape)
-    for n in range(steps.n_time - 1, start_index - 1, -1):
+    for n in range(steps.n_time - 1, -1, -1):
         t = n * steps.h2
         m = m_path[n]
         probs = stencil_probabilities(problem, lattice, steps, t, m, alphas)

@@ -55,9 +55,6 @@ class EmpiricalMeasure:
             self._mean = self.weights @ self.particles
         return self._mean
 
-    def second_moment(self) -> np.ndarray:
-        return self.weights @ (self.particles ** 2)
-
     @property
     def n_particles(self) -> int:
         return self.particles.shape[0]
@@ -86,9 +83,6 @@ class MeasurePath:
     def constant(cls, measure: EmpiricalMeasure, n_time: int) -> "MeasurePath":
         return cls([measure] * (n_time + 1))
 
-    def means(self) -> np.ndarray:
-        return np.stack([m.mean() for m in self.slices])
-
 
 # ---------------------------------------------------------------------------
 # Resampling
@@ -106,15 +100,6 @@ def systematic_resample(measure: EmpiricalMeasure, n: int,
     u = (offset + np.arange(n)) / n
     idx = np.searchsorted(cum, u, side="left")
     return EmpiricalMeasure.from_points(measure.particles[idx])
-
-
-def resample_path(path: MeasurePath, n: int, seed=None) -> MeasurePath:
-    """Per-slice systematic resampling; seeded comb offsets if seed given."""
-    out = []
-    for i, m in enumerate(path):
-        offset = 0.5 if seed is None else float(substream(seed, "resample", i).uniform())
-        out.append(systematic_resample(m, n, offset=offset))
-    return MeasurePath(out)
 
 
 # ---------------------------------------------------------------------------

@@ -76,17 +76,18 @@ def random_theta(arch: NetworkArchitecture, rng, scale: float = 0.5) -> np.ndarr
 
 
 def _unpack(arch: NetworkArchitecture, theta: np.ndarray):
-    if theta.shape != (arch.n_params,):
+    if theta.shape[-1:] != (arch.n_params,):
         raise LengthMismatch(
-            f"theta has length {theta.shape}, expected {arch.n_params}")
+            f"theta has shape {theta.shape}, expected (..., {arch.n_params})")
     sizes = arch.layer_sizes()
+    lead = theta.shape[:-1]
     layers = []
     pos = 0
     for i in range(len(sizes) - 1):
         n_out, n_in = sizes[i + 1], sizes[i]
-        w = theta[pos:pos + n_out * n_in].reshape(n_out, n_in)
+        w = theta[..., pos:pos + n_out * n_in].reshape(lead + (n_out, n_in))
         pos += n_out * n_in
-        b = theta[pos:pos + n_out]
+        b = theta[..., None, pos:pos + n_out]
         pos += n_out
         layers.append((w, b))
     return layers
@@ -116,16 +117,17 @@ def _sigmoid(z):
 
 def _forward_cached(arch: NetworkArchitecture, theta: np.ndarray,
                     inputs: np.ndarray):
-    """Forward pass on normalized inputs (B, in); caches activations."""
+    """Forward pass of theta (..., r) on normalized inputs (B, in), giving
+    outputs (..., B, k); caches activations.  Each row runs its own gemm."""
     layers = _unpack(arch, theta)
     a = inputs
     cache = [a]
     for w, b in layers[:-1]:
-        z = a @ w.T + b
+        z = np.matmul(a, np.swapaxes(w, -1, -2)) + b
         a = np.tanh(z)
         cache.append(a)
     w, b = layers[-1]
-    z_out = cache[-1] @ w.T + b
+    z_out = np.matmul(cache[-1], np.swapaxes(w, -1, -2)) + b
     s = _sigmoid(z_out)
     lo = np.asarray(arch.u_lower)
     hi = np.asarray(arch.u_upper)
@@ -134,12 +136,13 @@ def _forward_cached(arch: NetworkArchitecture, theta: np.ndarray,
 
 
 def forward(arch: NetworkArchitecture, theta: np.ndarray, t, x) -> np.ndarray:
-    """Control at (t, x); batched over leading axes of x."""
+    """Control at (t, x), shape theta.shape[:-1] + x.shape[:-1] + (k,)."""
     x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
     inputs = _normalize_inputs(arch, t, x)
     flat = inputs.reshape(-1, arch.input_dim)
-    out, _, _, _ = _forward_cached(arch, np.asarray(theta, dtype=float), flat)
-    return out.reshape(x.shape[:-1] + (arch.control_dim,))
+    out, _, _, _ = _forward_cached(arch, theta, flat)
+    return out.reshape(theta.shape[:-1] + x.shape[:-1] + (arch.control_dim,))
 
 
 def fit_loss(arch: NetworkArchitecture, theta: np.ndarray,

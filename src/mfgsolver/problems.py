@@ -254,6 +254,10 @@ def mfg2d_problem(sigma: float = 0.5, horizon: float = 1.0) -> MfgProblem:
     from a Gaussian with mean (0, 1) and covariance 0.25*I truncated to the
     box (rejection sampling; the lattice cannot host exterior mass).
     """
+    if sigma < 0:
+        raise InvalidParams("need sigma >= 0")
+    if horizon <= 0:
+        raise InvalidParams("need horizon > 0")
 
     def drift(t, x, m, alpha):
         return 2.0 * x - alpha

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, InvalidParams, SolverError
 from .lattice import (StepSizes, build_lattice, control_grid,
                       dp_backward_sweep, policy_value_sweep,
                       value_table_to_csv, control_field_to_csv)
@@ -97,6 +97,10 @@ class RunConfig:
         if self.initial_measure not in ("uncontrolled", "initial"):
             raise ConfigError(
                 f"unknown initial_measure '{self.initial_measure}'")
+        try:
+            self.build_problem()
+        except InvalidParams as exc:
+            raise ConfigError(f"bad model parameters: {exc}") from exc
 
     # -- serialization ----------------------------------------------------
 
@@ -148,7 +152,6 @@ class RunConfig:
             model = cp.get("model", "name")
         except (configparser.NoSectionError, configparser.NoOptionError):
             raise ConfigError("missing key: model/name")
-        params = {k: float(v) for k, v in cp.items("model") if k != "name"}
 
         def get(sec, key, cast, default):
             if cp.has_option(sec, key):
@@ -158,6 +161,8 @@ class RunConfig:
                     raise ConfigError(f"bad value for {sec}/{key}") from exc
             return default
 
+        params = {k: get("model", k, float, None)
+                  for k, _ in cp.items("model") if k != "name"}
         d = cls.__dataclass_fields__
         hidden_raw = get("network", "hidden", str, None)
         hidden = tuple(int(w) for w in hidden_raw.split(",") if w.strip()) \
@@ -366,9 +371,9 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                     band=config.control_band, m_bound=config.m_bound)
                 sa_trace: list = []
 
-                def evaluator(th, eval_seed, _m=m_bar):
+                def evaluator(thetas, eval_seed, _m=m_bar):
                     return improvement(problem, lat_c, steps_c, _m, arch,
-                                       th, config.n_mc, eval_seed)
+                                       thetas, config.n_mc, eval_seed)
 
                 theta = train(theta0, schedule, region, evaluator, sa_seed,
                               trace=sa_trace)
@@ -409,12 +414,16 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
 
             save_checkpoint(os.path.join(out, f"theta_checkpoint_k{k}.csv"),
                             arch, theta)
-            np.savez(resume_file, k=k, m_bar=_paths_to_array(m_bar),
-                     m_induced=_paths_to_array(m_new), v_fine=v_prev,
-                     theta=theta,
-                     first_w2=-1 if first_w2 is None else first_w2,
-                     first_value=-1 if first_value is None else first_value,
-                     best_g=best_g)
+            # write then rename, so a crash never leaves a torn state file
+            with open(resume_file + ".tmp", "wb") as fh:
+                np.savez(fh, k=k, m_bar=_paths_to_array(m_bar),
+                         m_induced=_paths_to_array(m_new), v_fine=v_prev,
+                         theta=theta,
+                         first_w2=-1 if first_w2 is None else first_w2,
+                         first_value=-1 if first_value is None
+                         else first_value,
+                         best_g=best_g)
+            os.replace(resume_file + ".tmp", resume_file)
 
             rule = config.stop_rule
             if rule == "either" and (w2_hit or value_hit):

@@ -5,6 +5,12 @@ lattice; each coordinate of the gradient estimate is a central finite
 difference of two noisy evaluations sharing common random numbers.  The
 iterate is confined to a box on the parameters intersected with a trust
 band around the grid-search anchor control.
+
+Evaluator contract: ``evaluator(thetas, seed)`` maps a (P, r) stack of
+parameter vectors to their P objective values.  A KW step is one call on
+the (2r+1, r) stack [theta, theta + delta e_1, theta - delta e_1, ...];
+``improvement`` steps all rows at once on shared uniforms (the common random
+numbers), so each value equals that of a one-row call with the same seed.
 """
 
 from __future__ import annotations
@@ -95,34 +101,37 @@ class ProjectionRegion:
                    anchor_states=states, anchor_controls=anchors, band=band)
 
 
-def improvement(problem, lattice, steps, m_path, arch, theta,
-                n_mc: int, seed: int) -> float:
-    """Negative average Monte-Carlo chain cost over the lattice start nodes.
+def improvement(problem, lattice, steps, m_path, arch, thetas,
+                n_mc: int, seed: int) -> np.ndarray:
+    """Negative average Monte-Carlo chain cost for each row of ``thetas``.
 
-    Each node launches ``n_mc`` chains at t = 0 controlled by the network;
-    the same seed reproduces the same uniforms, so perturbed parameters can
-    share random numbers for variance reduction.
+    Each node launches ``n_mc`` chains at t = 0 under the network of each
+    row; all rows share the uniforms drawn from ``seed`` (common random
+    numbers).  Returns shape (P,).
     """
     from .lattice import stencil_probabilities
 
     rng = substream(seed, "improve")
     n_nodes = lattice.n_nodes
-    nodes = np.repeat(np.arange(n_nodes), n_mc)
+    rows = np.arange(len(thetas))[:, None]
+    nodes = np.tile(np.repeat(np.arange(n_nodes), n_mc), (rows.shape[0], 1))
     neigh = lattice.neighbor_indices()
-    total = np.zeros(nodes.shape[0])
+    total = np.zeros(nodes.shape)
     for n in range(steps.n_time):
         t = n * steps.h2
-        layer = forward(arch, theta, np.full(n_nodes, t), lattice.points)
+        layer = forward(arch, thetas, np.full(n_nodes, t),
+                        lattice.points).transpose(1, 0, 2)    # (N, P, k)
         probs = stencil_probabilities(problem, lattice, steps, t, m_path[n],
-                                      layer[:, None, :])[:, 0]
-        total += problem.running_cost(
-            t, lattice.points[nodes], m_path[n], layer[nodes]) * steps.h2
-        cum = np.cumsum(probs[nodes], axis=1)
-        u = rng.uniform(size=nodes.shape[0])
-        nodes = neigh[nodes, np.argmax(cum > u[:, None], axis=1)]
-    total += problem.terminal_cost(lattice.points[nodes], m_path[-1])
-    g = -float(np.mean(total))
-    if not np.isfinite(g):
+                                      layer)
+        cost = problem.running_cost(t, lattice.points[:, None, :],
+                                    m_path[n], layer)         # (N, P)
+        total += cost[nodes, rows] * steps.h2
+        cum = np.cumsum(probs, axis=2)[nodes, rows]   # (P, N*n_mc, n_off)
+        u = rng.uniform(size=nodes.shape[1])
+        nodes = neigh[nodes, np.argmax(cum > u[:, None], axis=2)]
+    total += problem.terminal_cost(lattice.points, m_path[-1])[nodes]
+    g = -np.mean(total, axis=1)
+    if not np.all(np.isfinite(g)):
         raise NonFiniteEvaluation("improvement evaluation is not finite")
     return g
 
@@ -131,22 +140,21 @@ def kw_step(theta, schedule: SaSchedule, region: ProjectionRegion,
             evaluator, l: int, eval_seed: int):
     """One projected central-finite-difference update.
 
-    ``evaluator(theta, seed)`` returns a noisy objective value; all 2r+1
-    evaluations of this step share ``eval_seed`` (common random numbers).
+    The 2r+1 evaluations are one ``evaluator`` call on the stacked points,
+    all with ``eval_seed`` (common random numbers).
     Returns ``(theta_next, info)`` with the projection term z_l recorded.
     """
     theta = np.asarray(theta, dtype=float)
     r = theta.shape[0]
     eps = schedule.eps(l)
     delta = schedule.delta(l)
-    g_here = evaluator(theta, eval_seed)
-    k_vec = np.empty(r)
-    for j in range(r):
-        e = np.zeros(r)
-        e[j] = delta
-        g_plus = evaluator(theta + e, eval_seed)
-        g_minus = evaluator(theta - e, eval_seed)
-        k_vec[j] = (g_plus - g_minus) / (2.0 * delta)
+    kicks = delta * np.eye(r)
+    thetas = np.tile(theta, (2 * r + 1, 1))
+    thetas[1::2] += kicks
+    thetas[2::2] -= kicks
+    g = evaluator(thetas, eval_seed)
+    g_here = float(g[0])
+    k_vec = (g[1::2] - g[2::2]) / (2.0 * delta)
     if not np.all(np.isfinite(k_vec)) or not np.isfinite(g_here):
         raise NonFiniteEvaluation("non-finite objective in kw_step")
     step = eps * k_vec

@@ -165,8 +165,8 @@ def test_criterion_06_kw_convergence_oracle():
     tstar = np.array([0.3, -0.5, 1.0, 0.0, 2.0])
     region = ProjectionRegion(m_bound=10.0)
 
-    def noiseless(theta, seed):
-        return -float(np.sum((theta - tstar) ** 2))
+    def noiseless(thetas, seed):
+        return -np.sum((thetas - tstar) ** 2, axis=1)
 
     sch = SaSchedule(max_steps=5000, trigger=1e-12)
     out = train(np.zeros(5), sch, region, noiseless, seed=0)
@@ -177,9 +177,9 @@ def test_criterion_06_kw_convergence_oracle():
     for s in range(10):
         noise_rng = substream(s, "kw-noise")
 
-        def noisy(theta, seed, _r=noise_rng):
-            return (-float(np.sum((theta - tstar) ** 2))
-                    + 0.01 * float(_r.standard_normal()))
+        def noisy(thetas, seed, _r=noise_rng):
+            return (-np.sum((thetas - tstar) ** 2, axis=1)
+                    + 0.01 * _r.standard_normal(size=len(thetas)))
 
         out = train(np.zeros(5), SaSchedule(max_steps=5000, trigger=1e-5),
                     region, noisy, seed=s)

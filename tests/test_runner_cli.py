@@ -98,6 +98,14 @@ class TestRunner:
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name
 
+    def test_resume_state_written_atomically(self, tiny_run):
+        cfg, report = tiny_run
+        names = os.listdir(cfg.out_dir)
+        assert "resume_state.npz" in names
+        assert not [n for n in names if n.endswith(".tmp")]
+        with np.load(os.path.join(cfg.out_dir, "resume_state.npz")) as blob:
+            assert int(blob["k"]) == report.iterations
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         full_cfg = tiny_lq_config(tmp_path / "full", max_iters=4,
                                   stop_rule="value")
@@ -141,6 +149,20 @@ class TestCli:
         bad.write_text("[lattice]\nh1_coarse = 0.2\n")
         assert main(["solve", "--config", str(bad)]) == 2
         assert "model/name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,line", [
+        ("lq", "sigma = abc"), ("lq", "sigma = -1.0"),
+        ("mfg2d", "sigma = abc"), ("mfg2d", "sigma = -1.0")])
+    def test_solve_bad_model_scalar_exit_2(self, tmp_path, capsys, model,
+                                           line):
+        text = tiny_lq_config(tmp_path / "out").to_ini().replace(
+            "name = lq", f"name = {model}\n{line}")
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "sigma" in err
+        assert not (tmp_path / "out").exists()
 
     def test_solve_tiny_run(self, tmp_path, capsys):
         cfg = tiny_lq_config(tmp_path / "out")

@@ -3,7 +3,8 @@ import pytest
 
 from mfgsolver.errors import NonFiniteEvaluation
 from mfgsolver.lattice import StepSizes, build_lattice
-from mfgsolver.network import NetworkArchitecture, zero_theta
+from mfgsolver.network import (NetworkArchitecture, forward, random_theta,
+                               zero_theta)
 from mfgsolver.sa import (ProjectionRegion, SaSchedule, improvement, kw_step,
                           train)
 from mfgsolver.seeding import substream
@@ -63,8 +64,8 @@ class TestProjectionRegion:
 
 
 def quadratic(tstar):
-    def ev(theta, seed):
-        return -float(np.sum((theta - tstar) ** 2))
+    def ev(thetas, seed):
+        return -np.sum((thetas - tstar) ** 2, axis=1)
     return ev
 
 
@@ -90,8 +91,8 @@ class TestKwStep:
         assert info["z"][0] < 0.0
 
     def test_nonfinite_raises(self):
-        def bad(theta, seed):
-            return float("nan")
+        def bad(thetas, seed):
+            return np.full(len(thetas), np.nan)
         with pytest.raises(NonFiniteEvaluation):
             kw_step(np.zeros(2), SaSchedule(), ProjectionRegion(), bad, 0, 0)
 
@@ -100,15 +101,15 @@ class TestKwStep:
         # independent draws do not
         tstar = np.array([0.5, -0.5])
 
-        def noisy(theta, seed):
+        def noisy(thetas, seed):
             rng = substream(seed, "eval")
-            return (-float(np.sum((theta - tstar) ** 2))
+            return (-np.sum((thetas - tstar) ** 2, axis=1)
                     + 0.1 * float(rng.standard_normal()))
 
-        def noisy_indep(theta, seed):
-            rng = substream(seed, "eval", hash(theta.tobytes()) & 0xFFFF)
-            return (-float(np.sum((theta - tstar) ** 2))
-                    + 0.1 * float(rng.standard_normal()))
+        def noisy_indep(thetas, seed):
+            noise = [substream(seed, "eval", hash(th.tobytes()) & 0xFFFF)
+                     .standard_normal() for th in thetas]
+            return -np.sum((thetas - tstar) ** 2, axis=1) + 0.1 * np.array(noise)
 
         sch = SaSchedule()
         region = ProjectionRegion(m_bound=10.0)
@@ -130,8 +131,8 @@ class TestTrain:
         assert np.max(np.abs(out - tstar)) <= 1e-2
 
     def test_flat_objective_returns_start(self):
-        def flat(theta, seed):
-            return 1.0
+        def flat(thetas, seed):
+            return np.ones(len(thetas))
         theta0 = np.array([0.7, -0.2])
         out = train(theta0, SaSchedule(max_steps=100), ProjectionRegion(),
                     flat, seed=0)
@@ -162,7 +163,7 @@ def setup():
 class TestImprovement:
     def test_deterministic_in_seed(self, setup):
         problem, steps, lat, m, arch = setup
-        theta = zero_theta(arch)
+        theta = zero_theta(arch)[None]
         a = improvement(problem, lat, steps, m, arch, theta, 8, seed=3)
         b = improvement(problem, lat, steps, m, arch, theta, 8, seed=3)
         assert a == b
@@ -171,6 +172,108 @@ class TestImprovement:
         # costs are nonnegative for the LQ model only up to the cross term;
         # with zero control the running cost is pure quadratic >= 0
         problem, steps, lat, m, arch = setup
-        g = improvement(problem, lat, steps, m, arch, zero_theta(arch), 8,
-                        seed=1)
+        g = improvement(problem, lat, steps, m, arch, zero_theta(arch)[None],
+                        8, seed=1)
         assert np.isfinite(g)
+
+
+def sequential_improvement(problem, lattice, steps, m_path, arch, theta,
+                           n_mc, seed):
+    """Reference: one parameter vector, every chain stepped on its own."""
+    from mfgsolver.lattice import stencil_probabilities
+
+    rng = substream(seed, "improve")
+    n_nodes = lattice.n_nodes
+    nodes = np.repeat(np.arange(n_nodes), n_mc)
+    neigh = lattice.neighbor_indices()
+    total = np.zeros(nodes.shape[0])
+    for n in range(steps.n_time):
+        t = n * steps.h2
+        layer = forward(arch, theta, np.full(n_nodes, t), lattice.points)
+        probs = stencil_probabilities(problem, lattice, steps, t, m_path[n],
+                                      layer[:, None, :])[:, 0]
+        total += problem.running_cost(
+            t, lattice.points[nodes], m_path[n], layer[nodes]) * steps.h2
+        cum = np.cumsum(probs[nodes], axis=1)
+        u = rng.uniform(size=nodes.shape[0])
+        nodes = neigh[nodes, np.argmax(cum > u[:, None], axis=1)]
+    total += problem.terminal_cost(lattice.points[nodes], m_path[-1])
+    return -float(np.mean(total))
+
+
+@pytest.fixture(scope="module", params=["lq", "mfg2d"])
+def oracle_setup(request, setup):
+    from mfgsolver.measures import EmpiricalMeasure, MeasurePath
+    from mfgsolver.problems import mfg2d_problem
+    if request.param == "lq":
+        problem, steps, lat, m, _ = setup
+    else:
+        problem = mfg2d_problem()
+        steps = StepSizes.for_horizon(1.0, 0.25, 0.02)
+        lat = build_lattice(problem, steps)
+        cloud = substream(5, "oracle").uniform(0.0, 1.0, size=(50, 2))
+        m = MeasurePath.constant(EmpiricalMeasure.from_points(cloud),
+                                 steps.n_time)
+    arch = NetworkArchitecture.for_problem(problem, hidden=(3,))
+    return problem, steps, lat, m, arch
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("n_rows", [1, 5])
+    def test_batched_equals_per_row_loop(self, oracle_setup, n_rows):
+        problem, steps, lat, m, arch = oracle_setup
+        rng = substream(11, "oracle-theta", n_rows)
+        thetas = np.stack([random_theta(arch, rng, scale=3.0)
+                           for _ in range(n_rows)])
+        batched = improvement(problem, lat, steps, m, arch, thetas, 4, 9)
+        assert batched.shape == (n_rows,)
+        one_row = [improvement(problem, lat, steps, m, arch, th[None], 4, 9)[0]
+                   for th in thetas]
+        reference = [sequential_improvement(problem, lat, steps, m, arch, th,
+                                            4, 9) for th in thetas]
+        assert np.array_equal(batched, one_row)
+        assert np.array_equal(batched, reference)
+
+    def test_kw_step_on_chain_objective(self, oracle_setup):
+        # G and every central difference of one step match the reference
+        problem, steps, lat, m, arch = oracle_setup
+        theta = random_theta(arch, substream(3, "oracle-kw"), scale=3.0)
+        sch = SaSchedule()
+
+        def evaluator(thetas, seed):
+            return improvement(problem, lat, steps, m, arch, thetas, 2, seed)
+
+        _, info = kw_step(theta, sch, ProjectionRegion(), evaluator, 0, 17)
+        delta = sch.delta(0)
+        assert info["G"] == sequential_improvement(problem, lat, steps, m,
+                                                   arch, theta, 2, 17)
+        grad = []
+        for j in range(theta.shape[0]):
+            e = np.zeros_like(theta)
+            e[j] = delta
+            g_plus, g_minus = (sequential_improvement(
+                problem, lat, steps, m, arch, th, 2, 17)
+                for th in (theta + e, theta - e))
+            grad.append((g_plus - g_minus) / (2.0 * delta))
+        assert info["grad_norm"] == float(np.linalg.norm(grad))
+
+    def test_kw_step_makes_one_call_with_the_stack(self):
+        theta = np.array([0.5, -1.0, 2.0])
+        sch = SaSchedule()
+        calls = []
+
+        def recording(thetas, seed):
+            calls.append((thetas.copy(), seed))
+            return -np.sum(thetas ** 2, axis=1)
+
+        kw_step(theta, sch, ProjectionRegion(), recording, 2, 41)
+        assert len(calls) == 1
+        stack, seed = calls[0]
+        d = sch.delta(2)
+        expected = [theta]
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = d
+            expected += [theta + e, theta - e]
+        assert seed == 41
+        assert np.array_equal(stack, np.array(expected))
