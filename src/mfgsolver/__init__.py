@@ -4,8 +4,9 @@ The solver discretizes the controlled diffusion into a locally consistent
 Markov chain, runs backward dynamic programming with grid-search controls,
 fits a small feedforward policy network to the grid control, and refines the
 network parameters with a projected Kiefer-Wolfowitz recursion.  The
-mean-field interaction is carried by empirical particle measures updated
-through a damped fixed-point iteration with a Wasserstein-2 stopping rule.
+mean-field interaction is carried by particle paths of the population law,
+updated through a damped fixed-point iteration with a Wasserstein-2 stopping
+rule; the models see the law through its mean path.
 """
 
 from .errors import (
@@ -20,7 +21,6 @@ from .errors import (
 )
 from .problems import LqParams, MfgProblem, lq_problem, mfg2d_problem
 from .lattice import Lattice, StepSizes, build_lattice
-from .measures import EmpiricalMeasure, MeasurePath
 from .network import NetworkArchitecture
 from .runner import RunConfig, RunReport, run_algorithm1
 from .sa import SaSchedule, ProjectionRegion
@@ -34,12 +34,10 @@ __all__ = [
     "run_algorithm1",
     "DimensionMismatch",
     "EmptyControlGrid",
-    "EmpiricalMeasure",
     "InvalidParams",
     "Lattice",
     "LengthMismatch",
     "LqParams",
-    "MeasurePath",
     "MfgProblem",
     "NegativeProbability",
     "NonDivisibleDomain",

@@ -35,6 +35,9 @@ def _cmd_solve(args) -> int:
         config.out_dir = args.out
     try:
         report = run_algorithm1(config, resume=args.resume)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except SolverError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -76,7 +79,7 @@ def _cmd_validate(args) -> int:
     network gradient, measure metric axioms."""
     from .lattice import StepSizes, build_lattice, transition_row, \
         check_local_consistency
-    from .measures import EmpiricalMeasure, wasserstein2
+    from .measures import wasserstein2
     from .network import NetworkArchitecture, random_theta, fit_loss, \
         grad_fit_loss_raw
     from .problems import LqParams, lq_problem, mfg2d_problem, \
@@ -98,15 +101,14 @@ def _cmd_validate(args) -> int:
         for _ in range(20):
             idx = int(rng.choice(interior))
             al = rng.uniform(problem.control_lower, problem.control_upper)
-            m = EmpiricalMeasure.point_mass(
-                rng.uniform(problem.domain_lower, problem.domain_upper))
+            mbar = rng.uniform(problem.domain_lower, problem.domain_upper)
             t = float(rng.uniform(0.0, problem.horizon - steps.h2))
-            row = transition_row(problem, lat, steps, t, idx, m, al)
+            row = transition_row(problem, lat, steps, t, idx, mbar, al)
             total = sum(p for _, p in row.targets)
             if abs(total - 1.0) > 1e-12 or min(p for _, p in row.targets) < 0:
                 failures.append(f"{problem.name} row stochasticity")
                 break
-            if not check_local_consistency(row, problem, lat, steps, t, m,
+            if not check_local_consistency(row, problem, lat, steps, t, mbar,
                                            al).passed:
                 failures.append(f"{problem.name} local consistency")
                 break
@@ -128,8 +130,7 @@ def _cmd_validate(args) -> int:
             break
 
     for _ in range(20):
-        pts = [EmpiricalMeasure.from_points(rng.normal(size=(4, 2)))
-               for _ in range(3)]
+        pts = [rng.normal(size=(4, 2)) for _ in range(3)]
         dab = wasserstein2(pts[0], pts[1])
         dbc = wasserstein2(pts[1], pts[2])
         dac = wasserstein2(pts[0], pts[2])
@@ -149,7 +150,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .lattice import StepSizes
-    from .measures import EmpiricalMeasure, MeasurePath
     from .network import forward, load_checkpoint
     from .problems import LqParams, lq_problem, mfg2d_problem
     from .simulate import paths_to_csv, simulate_sde
@@ -162,14 +162,13 @@ def _cmd_simulate(args) -> int:
     problem = lq_problem(LqParams()) if arch.state_dim == 1 \
         else mfg2d_problem()
     steps = StepSizes.for_horizon(problem.horizon, 0.2, args.h2)
-    mean = EmpiricalMeasure.point_mass(
-        0.5 * (problem.domain_lower + problem.domain_upper))
-    m_path = MeasurePath.constant(mean, steps.n_time)
+    mbar_path = np.tile(0.5 * (problem.domain_lower + problem.domain_upper),
+                        (steps.n_time + 1, 1))
 
     def policy(t, x):
         return forward(arch, theta, np.full(x.shape[0], t), x)
 
-    bundle = simulate_sde(problem, policy, m_path, args.paths, steps,
+    bundle = simulate_sde(problem, policy, mbar_path, args.paths, steps,
                           args.seed,
                           share_common_noise=problem.has_common_noise)
     paths_to_csv(bundle, args.out)

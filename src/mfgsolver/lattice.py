@@ -152,11 +152,13 @@ def build_lattice(problem, steps: StepSizes) -> Lattice:
 # ---------------------------------------------------------------------------
 
 def stencil_probabilities(problem, lattice: Lattice, steps: StepSizes,
-                          t: float, m, alphas: np.ndarray) -> np.ndarray:
+                          t: float, mbar: np.ndarray,
+                          alphas: np.ndarray) -> np.ndarray:
     """Transition probabilities over the stencil for a batch of controls.
 
-    ``alphas`` has shape (..., k) broadcast against the node axis: the
-    common case is (n_nodes, n_ctrl, k) with nodes from ``lattice.points``.
+    ``mbar`` is the (d,) population mean at time ``t``.  ``alphas`` has
+    shape (..., k) broadcast against the node axis: the common case is
+    (n_nodes, n_ctrl, k) with nodes from ``lattice.points``.
     Returns probabilities of shape (n_nodes, ..., n_off) aligned with
     ``lattice.stencil_offsets()`` (self first, then +e_i/-e_i per axis,
     then the diagonal quadruples per pair).
@@ -166,7 +168,7 @@ def stencil_probabilities(problem, lattice: Lattice, steps: StepSizes,
     x = lattice.points
     extra = alphas.ndim - 2  # batch axes beyond (node, k)
     xb = x.reshape((x.shape[0],) + (1,) * extra + (d,))
-    b = np.asarray(problem.drift(t, xb, m, alphas), dtype=float)
+    b = np.asarray(problem.drift(t, xb, mbar, alphas), dtype=float)
     b = np.broadcast_to(b, alphas.shape[:-1] + (d,)) if b.shape != alphas.shape[:-1] + (d,) else b
     a = problem.diffusion_matrix(t)
 
@@ -199,6 +201,22 @@ def stencil_probabilities(problem, lattice: Lattice, steps: StepSizes,
     return probs
 
 
+def chain_step(lattice: Lattice, probs: np.ndarray, nodes: np.ndarray, rng,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Move every chain one step by inverse-CDF sampling of its stencil row.
+
+    ``probs`` holds the stencil probabilities per node, (n_nodes, n_off), or
+    per node and row, (n_nodes, P, n_off), in which case ``rows`` (P, 1)
+    picks each chain's row of ``nodes`` (P, M).  One uniform is drawn per
+    chain of the last axis and shared by all rows.  Returns the new nodes.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    cum = cum[nodes] if rows is None else cum[nodes, rows]
+    u = rng.uniform(size=nodes.shape[-1])
+    return lattice.neighbor_indices()[nodes,
+                                      np.argmax(cum > u[:, None], axis=-1)]
+
+
 @dataclass
 class TransitionRow:
     """One row of the chain's transition matrix, clamped targets merged."""
@@ -208,12 +226,13 @@ class TransitionRow:
 
 
 def transition_row(problem, lattice: Lattice, steps: StepSizes, t: float,
-                   x_index: int, m, alpha: np.ndarray) -> TransitionRow:
+                   x_index: int, mbar: np.ndarray,
+                   alpha: np.ndarray) -> TransitionRow:
     """Transition row from one node under one control."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (problem.control_dim,):
         raise DimensionMismatch("alpha has wrong control dimension")
-    probs = stencil_probabilities(problem, lattice, steps, t, m,
+    probs = stencil_probabilities(problem, lattice, steps, t, mbar,
                                   np.broadcast_to(alpha, (lattice.n_nodes, 1, alpha.shape[0])))
     row = probs[x_index, 0]
     neigh = lattice.neighbor_indices()[x_index]
@@ -240,7 +259,7 @@ class ConsistencyReport:
 
 
 def check_local_consistency(row: TransitionRow, problem, lattice: Lattice,
-                            steps: StepSizes, t: float, m,
+                            steps: StepSizes, t: float, mbar: np.ndarray,
                             alpha: np.ndarray) -> ConsistencyReport:
     """Diagnostic: does the row match b*h2 / a*h2 at the stated tolerances?
 
@@ -254,7 +273,8 @@ def check_local_consistency(row: TransitionRow, problem, lattice: Lattice,
     mean = p @ deltas
     second = np.einsum("n,ni,nj->ij", p, deltas, deltas)
     cov = second - np.outer(mean, mean)
-    b = np.asarray(problem.drift(t, x, m, np.asarray(alpha, dtype=float)), dtype=float)
+    b = np.asarray(problem.drift(t, x, mbar, np.asarray(alpha, dtype=float)),
+                   dtype=float)
     a = problem.diffusion_matrix(t)
     drift_target = b * steps.h2
     cov_target = a * steps.h2
@@ -277,10 +297,11 @@ def control_grid(problem, points_per_axis: int = 16) -> np.ndarray:
 
 
 def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
-                      m_path, controls: np.ndarray):
+                      mbar_path: np.ndarray, controls: np.ndarray):
     """Backward sweep minimizing cost over the control grid.
 
-    ``m_path`` supplies one measure slice per time index (n_time+1 entries).
+    ``mbar_path`` holds the population mean at every time index, shape
+    (n_time+1, d).
     Returns ``(values, control_field)`` where values has shape
     (n_time+1, n_nodes) and control_field (n_time, n_nodes, k).  Ties in
     the argmin resolve to the lexicographically smallest control (the grid
@@ -289,22 +310,22 @@ def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
     controls = np.asarray(controls, dtype=float)
     if controls.size == 0:
         raise EmptyControlGrid("control grid is empty")
-    if len(m_path) != steps.n_time + 1:
+    if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
     n_nodes = lattice.n_nodes
     k = controls.shape[1]
     neigh = lattice.neighbor_indices()
     values = np.empty((steps.n_time + 1, n_nodes))
     field = np.empty((steps.n_time, n_nodes, k))
-    values[-1] = problem.terminal_cost(lattice.points, m_path[-1])
+    values[-1] = problem.terminal_cost(lattice.points, mbar_path[-1])
     alphas = np.broadcast_to(controls[None, :, :], (n_nodes,) + controls.shape)
     for n in range(steps.n_time - 1, -1, -1):
         t = n * steps.h2
-        m = m_path[n]
-        probs = stencil_probabilities(problem, lattice, steps, t, m, alphas)
+        mbar = mbar_path[n]
+        probs = stencil_probabilities(problem, lattice, steps, t, mbar, alphas)
         v_next = values[n + 1][neigh]                      # (N, n_off)
         q = np.einsum("nco,no->nc", probs, v_next)
-        f = problem.running_cost(t, lattice.points[:, None, :], m, alphas)
+        f = problem.running_cost(t, lattice.points[:, None, :], mbar, alphas)
         q += f * steps.h2
         best = np.argmin(q, axis=1)
         values[n] = q[np.arange(n_nodes), best]
@@ -313,38 +334,41 @@ def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
 
 
 def policy_value_sweep(problem, lattice: Lattice, steps: StepSizes,
-                       m_path, control_fn) -> np.ndarray:
+                       mbar_path: np.ndarray, control_fn) -> np.ndarray:
     """Backward policy evaluation under a fixed feedback control.
 
-    ``control_fn(t, points)`` returns the (n_nodes, k) control layer.
+    ``mbar_path`` is the (n_time+1, d) mean path; ``control_fn(t, points)``
+    returns the (n_nodes, k) control layer.
     """
-    if len(m_path) != steps.n_time + 1:
+    if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
     n_nodes = lattice.n_nodes
     neigh = lattice.neighbor_indices()
     values = np.empty((steps.n_time + 1, n_nodes))
-    values[-1] = problem.terminal_cost(lattice.points, m_path[-1])
+    values[-1] = problem.terminal_cost(lattice.points, mbar_path[-1])
     for n in range(steps.n_time - 1, -1, -1):
         t = n * steps.h2
-        m = m_path[n]
+        mbar = mbar_path[n]
         al = control_fn(t, lattice.points)[:, None, :]     # (N, 1, k)
-        probs = stencil_probabilities(problem, lattice, steps, t, m, al)[:, 0]
+        probs = stencil_probabilities(problem, lattice, steps, t, mbar, al)[:, 0]
         values[n] = (np.einsum("no,no->n", probs, values[n + 1][neigh])
-                     + problem.running_cost(t, lattice.points, m, al[:, 0]) * steps.h2)
+                     + problem.running_cost(t, lattice.points, mbar, al[:, 0]) * steps.h2)
     return values
 
 
-def validate_stepsizes(problem, lattice: Lattice, steps: StepSizes, m,
-                       controls: np.ndarray, times=None) -> None:
+def validate_stepsizes(problem, lattice: Lattice, steps: StepSizes,
+                       mbar: np.ndarray, controls: np.ndarray) -> None:
     """Reject (h1, h2, model) combinations with negative stencil entries.
 
+    Checks every node under every control of ``controls`` with the
+    population mean ``mbar``, at the first and the last time step.
     Clipping would silently destroy local consistency, so infeasible
     configurations raise NegativeProbability up front.
     """
     alphas = np.broadcast_to(controls[None, :, :],
                              (lattice.n_nodes,) + controls.shape)
-    for t in (times if times is not None else [0.0, steps.horizon - steps.h2]):
-        stencil_probabilities(problem, lattice, steps, t, m, alphas)
+    for t in (0.0, steps.horizon - steps.h2):
+        stencil_probabilities(problem, lattice, steps, t, mbar, alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""Empirical measures for the mean-field interaction.
+"""Particle paths of the population law for the mean-field interaction.
 
-The population law at each time step is a weighted particle cloud.  The
-fixed-point iteration simulates the optimally controlled chain to get the
-induced law, mixes it into the running average with 1/k weights, and stops
-once the squared Wasserstein-2 gap drops below (2q/(1-q)) * h1^2.
+A particle path is a float array of shape (n_time + 1, n, d): slice ``n``
+holds n equal-weight atoms of the law at time index ``n``.  The models see
+the law only through its mean path, shape (n_time + 1, d).  The fixed-point
+iteration simulates the optimally controlled chain to get the induced law,
+mixes it into the running average with 1/k weights, and stops once the
+squared Wasserstein-2 gap drops below (2q/(1-q)) * h1^2.
+
+The mixed law is a weighted cloud of the old and the new atoms; systematic
+resampling with a midpoint comb brings it back to n equal atoms.  The weights
+are the same in every slice, so the mixing step is one deterministic
+selection of particle indices, applied to all slices at once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -17,140 +22,64 @@ from .errors import LengthMismatch
 from .seeding import substream
 
 
-@dataclass
-class EmpiricalMeasure:
-    """Weighted particle cloud on R^d."""
-
-    particles: np.ndarray   # (n, d)
-    weights: np.ndarray     # (n,), nonnegative, sums to 1
-
-    def __post_init__(self):
-        self.particles = np.atleast_2d(np.asarray(self.particles, dtype=float))
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.particles.shape[0] != self.weights.shape[0]:
-            raise LengthMismatch("particles and weights differ in length")
-        if self.particles.shape[0] < 1:
-            raise ValueError("measure needs at least one particle")
-        if not np.all(np.isfinite(self.particles)):
-            raise ValueError("particles must be finite")
-        if np.any(self.weights < -1e-15):
-            raise ValueError("weights must be nonnegative")
-        s = self.weights.sum()
-        if abs(s - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {s}, not 1")
-        self._mean: np.ndarray | None = None
-
-    @classmethod
-    def from_points(cls, points: np.ndarray) -> "EmpiricalMeasure":
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        n = points.shape[0]
-        return cls(points, np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, x) -> "EmpiricalMeasure":
-        return cls(np.atleast_2d(np.asarray(x, dtype=float)), np.array([1.0]))
-
-    def mean(self) -> np.ndarray:
-        if self._mean is None:
-            self._mean = self.weights @ self.particles
-        return self._mean
-
-    @property
-    def n_particles(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
-
-
-@dataclass
-class MeasurePath:
-    """One EmpiricalMeasure per time index, length n_time + 1."""
-
-    slices: list
-
-    def __len__(self):
-        return len(self.slices)
-
-    def __getitem__(self, i):
-        return self.slices[i]
-
-    def __iter__(self):
-        return iter(self.slices)
-
-    @classmethod
-    def constant(cls, measure: EmpiricalMeasure, n_time: int) -> "MeasurePath":
-        return cls([measure] * (n_time + 1))
+def mean_path(path: np.ndarray) -> np.ndarray:
+    """Mean of every slice of a particle path, shape (n_time + 1, d)."""
+    return np.full(path.shape[1], 1.0 / path.shape[1]) @ path
 
 
 # ---------------------------------------------------------------------------
 # Resampling
 # ---------------------------------------------------------------------------
 
-def systematic_resample(measure: EmpiricalMeasure, n: int,
-                        offset: float = 0.5) -> EmpiricalMeasure:
-    """Systematic resampling to n equal-weight atoms.
+def systematic_resample(weights: np.ndarray, n: int,
+                        offset: float = 0.5) -> np.ndarray:
+    """Indices of n equal-weight atoms drawn by systematic resampling.
 
-    ``offset`` in [0, 1) positions the comb; the default midpoint comb makes
-    the operation deterministic.
+    ``weights`` are the nonnegative atom weights, summing to 1.  ``offset``
+    in [0, 1) positions the comb; the default midpoint comb makes the
+    operation deterministic.
     """
-    cum = np.cumsum(measure.weights)
+    cum = np.cumsum(weights)
     cum[-1] = 1.0
     u = (offset + np.arange(n)) / n
-    idx = np.searchsorted(cum, u, side="left")
-    return EmpiricalMeasure.from_points(measure.particles[idx])
+    return np.searchsorted(cum, u, side="left")
 
 
 # ---------------------------------------------------------------------------
 # Averaging and distances
 # ---------------------------------------------------------------------------
 
-def average_update(m_bar_prev: MeasurePath, m_new: MeasurePath,
-                   k: int) -> MeasurePath:
+def average_update(m_bar_prev: np.ndarray, m_new: np.ndarray, k: int):
     """Damped fixed-point update: (k-1)/k of the old average + 1/k of the
-    new law, slice by slice.  k = 1 returns the new path unchanged."""
+    new law, slice by slice.
+
+    Returns the mixed cloud, shape (n_time + 1, n_old + n_new, d), and its
+    atom weights, shared by every slice.  At k = 1 the old atoms weigh 0.
+    """
     if len(m_bar_prev) != len(m_new):
         raise LengthMismatch("measure paths differ in length")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return MeasurePath(list(m_new.slices))
     w_old = (k - 1) / k
     w_new = 1.0 / k
-    out = []
-    for old, new in zip(m_bar_prev, m_new):
-        particles = np.vstack([old.particles, new.particles])
-        weights = np.concatenate([old.weights * w_old, new.weights * w_new])
-        out.append(EmpiricalMeasure(particles, weights))
-    return MeasurePath(out)
+    n_old, n_new = m_bar_prev.shape[1], m_new.shape[1]
+    weights = np.concatenate([np.full(n_old, 1.0 / n_old) * w_old,
+                              np.full(n_new, 1.0 / n_new) * w_new])
+    return np.concatenate([m_bar_prev, m_new], axis=1), weights
 
 
-def _equalized_clouds(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
-                      n_atoms: int):
-    """Common equal-weight representations for exact assignment."""
-    def is_uniform(m):
-        return np.allclose(m.weights, 1.0 / m.n_particles, atol=1e-12)
-
-    if (is_uniform(mu) and is_uniform(nu)
-            and mu.n_particles == nu.n_particles
-            and mu.n_particles <= n_atoms):
-        return mu.particles, nu.particles
-    a = systematic_resample(mu, n_atoms).particles
-    b = systematic_resample(nu, n_atoms).particles
-    return a, b
-
-
-def wasserstein2(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
-                 n_atoms: int = 256) -> float:
+def wasserstein2(a: np.ndarray, b: np.ndarray, n_atoms: int = 256) -> float:
     """Exact W2 between the equal-atom representations of two clouds.
 
-    1-D uses sorted quantile matching; d >= 2 solves the assignment problem
-    on the squared-Euclidean cost matrix.  Clouds with more than ``n_atoms``
-    support points (or non-uniform weights) are first resampled to
-    ``n_atoms`` equal atoms with a deterministic midpoint comb.
+    ``a`` and ``b`` are (n, d) clouds of equal-weight atoms.  1-D uses
+    sorted quantile matching; d >= 2 solves the assignment problem on the
+    squared-Euclidean cost matrix.  Clouds of different sizes, or with more
+    than ``n_atoms`` atoms, are first resampled to ``n_atoms`` equal atoms
+    with a deterministic midpoint comb.
     """
-    a, b = _equalized_clouds(mu, nu, n_atoms)
+    if a.shape[0] != b.shape[0] or a.shape[0] > n_atoms:
+        a = a[systematic_resample(np.full(len(a), 1.0 / len(a)), n_atoms)]
+        b = b[systematic_resample(np.full(len(b), 1.0 / len(b)), n_atoms)]
     if a.shape[1] == 1:
         sa = np.sort(a[:, 0])
         sb = np.sort(b[:, 0])
@@ -160,9 +89,9 @@ def wasserstein2(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     return float(np.sqrt(cost[rows, cols].mean()))
 
 
-def fixed_point_gap(m_a: MeasurePath, m_b: MeasurePath,
+def fixed_point_gap(m_a: np.ndarray, m_b: np.ndarray,
                     n_atoms: int = 256) -> float:
-    """Max over time of the squared W2 distance between two paths."""
+    """Max over time of the squared W2 distance between two particle paths."""
     if len(m_a) != len(m_b):
         raise LengthMismatch("measure paths differ in length")
     return max(wasserstein2(x, y, n_atoms) ** 2 for x, y in zip(m_a, m_b))
@@ -179,47 +108,44 @@ def w2_stop_threshold(q: float, h1: float) -> float:
 # Induced measure by chain simulation
 # ---------------------------------------------------------------------------
 
-def induced_measure(problem, lattice, steps, controls, m_in: MeasurePath,
-                    n_particles: int, seed: int) -> MeasurePath:
-    """Law of the controlled chain under a frozen interaction path.
+def induced_measure(problem, lattice, steps, controls, mbar_path: np.ndarray,
+                    n_particles: int, seed: int) -> np.ndarray:
+    """Particle path of the controlled chain under a frozen mean path.
 
     ``controls`` is either a (n_time, n_nodes, k) grid control field or a
     callable ``(t, points) -> (n_nodes, k)``.  Particles start from the
-    initial law snapped to the lattice; every slice has equal weights.
+    initial law snapped to the lattice.  Returns (n_time + 1, n_particles, d).
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
-    from .lattice import stencil_probabilities
+    from .lattice import chain_step, stencil_probabilities
 
     rng = substream(seed, "induced")
     x0 = problem.initial_sampler(rng, n_particles)
     nodes = lattice.indices_of(x0)
-    neigh = lattice.neighbor_indices()
-    slices = [EmpiricalMeasure.from_points(lattice.points[nodes])]
-    k = problem.control_dim
+    path = np.empty((steps.n_time + 1, n_particles, lattice.dims))
+    path[0] = lattice.points[nodes]
     for n in range(steps.n_time):
         t = n * steps.h2
         if callable(controls):
             layer = controls(t, lattice.points)
         else:
             layer = controls[n]
-        probs = stencil_probabilities(problem, lattice, steps, t, m_in[n],
-                                      layer[:, None, :])[:, 0]
-        cum = np.cumsum(probs[nodes], axis=1)
-        u = rng.uniform(size=n_particles)
-        choice = np.argmax(cum > u[:, None], axis=1)
-        nodes = neigh[nodes, choice]
-        slices.append(EmpiricalMeasure.from_points(lattice.points[nodes]))
-    return MeasurePath(slices)
+        probs = stencil_probabilities(problem, lattice, steps, t,
+                                      mbar_path[n], layer[:, None, :])[:, 0]
+        nodes = chain_step(lattice, probs, nodes, rng)
+        path[n + 1] = lattice.points[nodes]
+    return path
 
 
-def measure_path_to_csv(path_obj: MeasurePath, steps, file_path) -> None:
-    d = path_obj[0].dim
+def measure_path_to_csv(path: np.ndarray, steps, file_path) -> None:
+    n_particles, d = path.shape[1:]
+    weight = f"{1.0 / n_particles:.12g}"
     header = "t,particle_id," + ",".join(f"x{i+1}" for i in range(d)) + ",weight"
     with open(file_path, "w") as fh:
         fh.write(header + "\n")
-        for n, m in enumerate(path_obj):
+        for n, sl in enumerate(path):
             t = n * steps.h2
-            for pid in range(m.n_particles):
-                coords = ",".join(f"{c:.12g}" for c in m.particles[pid])
-                fh.write(f"{t:.12g},{pid},{coords},{m.weights[pid]:.12g}\n")
+            for pid in range(n_particles):
+                coords = ",".join(f"{c:.12g}" for c in sl[pid])
+                fh.write(f"{t:.12g},{pid},{coords},{weight}\n")

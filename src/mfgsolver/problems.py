@@ -8,15 +8,15 @@ Callback conventions
 --------------------
 All callbacks are vectorized over leading axes: ``x`` has shape ``(..., d)``,
 ``alpha`` has shape ``(..., k)``, and scalar outputs have shape ``(...,)``.
-The measure argument is any object with a ``mean()`` method returning the
-``(d,)`` first moment of the current population slice; each model projects
-from it whatever it needs.  ``diffusion(t, x)`` returns a ``(d, d)`` matrix
-(state-independent for both benchmarks).
+The population enters every callback as ``mbar``, the ``(d,)`` mean of the
+population law at time ``t`` (the first moment of the current slice); each
+model projects from it whatever it needs.  ``diffusion(t, x)`` returns a
+``(d, d)`` matrix (state-independent for both benchmarks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,10 +35,10 @@ class MfgProblem:
     domain_upper: np.ndarray
     control_lower: np.ndarray
     control_upper: np.ndarray
-    drift: Callable                   # (t, x, m, alpha) -> (..., d)
+    drift: Callable                   # (t, x, mbar, alpha) -> (..., d)
     diffusion: Callable               # (t, x) -> (d, d)
-    running_cost: Callable            # (t, x, m, alpha) -> (...,)
-    terminal_cost: Callable           # (x, m) -> (...,)
+    running_cost: Callable            # (t, x, mbar, alpha) -> (...,)
+    terminal_cost: Callable           # (x, mbar) -> (...,)
     initial_sampler: Callable         # (rng, n) -> (n, d)
     bounded_domain: bool = True       # clamp simulated states into the box?
     has_common_noise: bool = False
@@ -100,25 +100,25 @@ def lq_problem(
 
     The state domain is unbounded; ``domain`` is the truncation box used by
     the lattice stage.  The mean-field interaction enters only through the
-    first moment of the measure slice (the conditional population mean).
+    population mean (the conditional mean under common noise).
     """
     p = params
 
-    def drift(t, x, m, alpha):
-        u = m.mean()[0]
+    def drift(t, x, mbar, alpha):
+        u = mbar[0]
         return p.a * (u - x) + alpha
 
     def diffusion(t, x):
         return np.array([[p.sigma]])
 
-    def running_cost(t, x, m, alpha):
-        u = m.mean()[0]
+    def running_cost(t, x, mbar, alpha):
+        u = mbar[0]
         al = alpha[..., 0]
         dev = u - x[..., 0]
         return 0.5 * al ** 2 - p.q * al * dev + 0.5 * p.epsilon * dev ** 2
 
-    def terminal_cost(x, m):
-        u = m.mean()[0]
+    def terminal_cost(x, mbar):
+        u = mbar[0]
         dev = u - x[..., 0]
         return 0.5 * p.c * dev ** 2
 
@@ -259,20 +259,18 @@ def mfg2d_problem(sigma: float = 0.5, horizon: float = 1.0) -> MfgProblem:
     if horizon <= 0:
         raise InvalidParams("need horizon > 0")
 
-    def drift(t, x, m, alpha):
+    def drift(t, x, mbar, alpha):
         return 2.0 * x - alpha
 
     def diffusion(t, x):
         return sigma * np.eye(2)
 
-    def running_cost(t, x, m, alpha):
-        ubar = m.mean()
-        dev = 4.0 * x - 5.0 * ubar
+    def running_cost(t, x, mbar, alpha):
+        dev = 4.0 * x - 5.0 * mbar
         return np.sum(dev ** 2, axis=-1) + np.sum(alpha ** 2, axis=-1)
 
-    def terminal_cost(x, m):
-        ubar = m.mean()
-        dev = 4.0 * x - 5.0 * ubar
+    def terminal_cost(x, mbar):
+        dev = 4.0 * x - 5.0 * mbar
         return np.sum(dev ** 2, axis=-1)
 
     mu = np.array([0.0, 1.0])

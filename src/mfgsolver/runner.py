@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import itertools
 import json
 import os
 import time
@@ -25,20 +26,21 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParams, SolverError
+from .errors import (ConfigError, InvalidParams, NegativeProbability,
+                     SolverError)
 from .lattice import (StepSizes, build_lattice, control_grid,
                       dp_backward_sweep, policy_value_sweep,
-                      value_table_to_csv, control_field_to_csv)
-from .measures import (EmpiricalMeasure, MeasurePath, average_update,
-                       fixed_point_gap, induced_measure, measure_path_to_csv,
-                       systematic_resample, w2_stop_threshold)
+                      validate_stepsizes, value_table_to_csv,
+                      control_field_to_csv)
+from .measures import (average_update, fixed_point_gap, induced_measure,
+                       mean_path, measure_path_to_csv, systematic_resample,
+                       w2_stop_threshold)
 from .network import (NetworkArchitecture, fit_to_grid, forward,
-                      load_checkpoint, random_theta, save_checkpoint)
-from .problems import (LqParams, lq_analytic_equilibrium, lq_problem,
-                       mfg2d_problem, riccati_closed_form)
+                      random_theta, save_checkpoint)
+from .problems import LqParams, lq_problem, mfg2d_problem, riccati_closed_form
 from .sa import ProjectionRegion, SaSchedule, improvement, train
 from .seeding import substream
-from .simulate import PathBundle, paths_to_csv, simulate_sde
+from .simulate import paths_to_csv, simulate_sde
 
 
 @dataclass
@@ -97,6 +99,9 @@ class RunConfig:
         if self.initial_measure not in ("uncontrolled", "initial"):
             raise ConfigError(
                 f"unknown initial_measure '{self.initial_measure}'")
+        for key, val in self.model_params.items():
+            if not np.isfinite(val):
+                raise ConfigError(f"model/{key} must be finite, got {val}")
         try:
             self.build_problem()
         except InvalidParams as exc:
@@ -234,37 +239,46 @@ class RunReport:
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _paths_to_array(path_obj: MeasurePath) -> np.ndarray:
-    return np.stack([m.particles for m in path_obj])
+def _check_stepsizes(problem, grids, controls) -> None:
+    """Reject infeasible (h1, h2) pairs before any numerical work.
+
+    Each (lattice, steps) pair of ``grids`` is checked over the control
+    grid with the population mean at every corner of the state box.
+    """
+    corners = itertools.product(*zip(problem.domain_lower,
+                                     problem.domain_upper))
+    for corner in corners:
+        for lattice, steps in grids:
+            try:
+                validate_stepsizes(problem, lattice, steps, np.array(corner),
+                                   controls)
+            except NegativeProbability as exc:
+                raise ConfigError(
+                    f"h1={steps.h1}, h2={steps.h2}: {exc}") from exc
 
 
-def _array_to_path(arr: np.ndarray) -> MeasurePath:
-    return MeasurePath([EmpiricalMeasure.from_points(sl) for sl in arr])
-
-
-def _fine_measure_path(m_bar: MeasurePath, steps_c: StepSizes,
-                       steps_f: StepSizes) -> MeasurePath:
-    """Reindex a coarse-time measure path onto the fine time grid."""
+def _fine_mean_path(mbar_path: np.ndarray, steps_c: StepSizes,
+                    steps_f: StepSizes) -> np.ndarray:
+    """Reindex a coarse-time mean path onto the fine time grid."""
     idx = np.minimum(
         np.rint(np.arange(steps_f.n_time + 1) * steps_f.h2 / steps_c.h2)
         .astype(int), steps_c.n_time)
-    return MeasurePath([m_bar[i] for i in idx])
+    return mbar_path[idx]
 
 
-def _initial_measure_path(problem, lattice, steps, config) -> MeasurePath:
-    base = EmpiricalMeasure.from_points(
-        lattice.points[lattice.indices_of(problem.initial_sampler(
-            substream(config.seed, "init"), config.n_particles))])
+def _initial_measure_path(problem, lattice, steps, config) -> np.ndarray:
+    base = lattice.points[lattice.indices_of(problem.initial_sampler(
+        substream(config.seed, "init"), config.n_particles))]
+    path = np.repeat(base[None], steps.n_time + 1, axis=0)
     if config.initial_measure == "initial":
-        return MeasurePath.constant(base, steps.n_time)
+        return path
     mid = problem.control_midpoint()
 
     def constant_control(t, points):
         return np.broadcast_to(mid, (points.shape[0], mid.shape[0]))
 
     return induced_measure(problem, lattice, steps, constant_control,
-                           MeasurePath.constant(base, steps.n_time),
-                           config.n_particles, config.seed)
+                           mean_path(path), config.n_particles, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +287,6 @@ def _initial_measure_path(problem, lattice, steps, config) -> MeasurePath:
 
 def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
     t_start = time.monotonic()
 
     problem = config.build_problem()
@@ -284,6 +297,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     lat_c = build_lattice(problem, steps_c)
     lat_f = build_lattice(problem, steps_f)
     controls = control_grid(problem, config.control_points)
+    _check_stepsizes(problem, ((lat_c, steps_c), (lat_f, steps_f)), controls)
     arch = NetworkArchitecture.for_problem(problem, hidden=config.hidden)
     schedule = SaSchedule(eps0=config.eps0, delta0=config.delta0,
                           p_eps=config.p_eps, p_delta=config.p_delta,
@@ -291,6 +305,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                           trigger=config.sa_trigger, n_mc=config.n_mc)
     threshold = w2_stop_threshold(config.w2_q, config.h1_coarse)
 
+    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "config.copy"), "w") as fh:
         fh.write(config.to_ini())
 
@@ -305,10 +320,10 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     if resume and os.path.exists(resume_file):
         blob = np.load(resume_file)
         k_start = int(blob["k"]) + 1
-        m_bar = _array_to_path(blob["m_bar"])
+        m_bar = blob["m_bar"]
+        mbar_path = mean_path(m_bar)
         v_prev = blob["v_fine"]
-        m_induced_prev = (_array_to_path(blob["m_induced"])
-                         if "m_induced" in blob else None)
+        m_induced_prev = blob["m_induced"] if "m_induced" in blob else None
         theta = blob["theta"]
         first_w2 = int(blob["first_w2"]) if blob["first_w2"] >= 0 else None
         first_value = int(blob["first_value"]) if blob["first_value"] >= 0 \
@@ -317,8 +332,9 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         trace_mode = "a"
     else:
         m_bar = _initial_measure_path(problem, lat_c, steps_c, config)
+        mbar_path = mean_path(m_bar)
         # value tables start from the terminal cost under the initial law
-        g0 = problem.terminal_cost(lat_f.points, m_bar[-1])
+        g0 = problem.terminal_cost(lat_f.points, mbar_path[-1])
         v_prev = np.broadcast_to(g0, (steps_f.n_time + 1,
                                       lat_f.n_nodes)).copy()
         m_induced_prev = None
@@ -342,19 +358,20 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
             try:
                 # Step 1: grid policy under the frozen averaged law
                 u_coarse, field_k = dp_backward_sweep(
-                    problem, lat_c, steps_c, m_bar, controls)
+                    problem, lat_c, steps_c, mbar_path, controls)
                 if not measure_frozen:
                     # Step 2: induced law of the controlled chain
                     m_new = induced_measure(problem, lat_c, steps_c, field_k,
-                                            m_bar, config.n_particles,
+                                            mbar_path, config.n_particles,
                                             induce_seed)
                     gap = (fixed_point_gap(m_new, m_induced_prev)
                            if m_induced_prev is not None else np.inf)
                     m_induced_prev = m_new
                     # Step 3: damped averaging, resampled to a fixed atom count
-                    m_bar = MeasurePath([
-                        systematic_resample(sl, config.n_particles)
-                        for sl in average_update(m_bar, m_new, k)])
+                    cloud, weights = average_update(m_bar, m_new, k)
+                    m_bar = np.take(cloud, systematic_resample(
+                        weights, config.n_particles), axis=1)
+                    mbar_path = mean_path(m_bar)
                 else:
                     # measure fixed point reached: keep the law frozen so the
                     # remaining iterations refine the policy and value only
@@ -371,7 +388,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                     band=config.control_band, m_bound=config.m_bound)
                 sa_trace: list = []
 
-                def evaluator(thetas, eval_seed, _m=m_bar):
+                def evaluator(thetas, eval_seed, _m=mbar_path):
                     return improvement(problem, lat_c, steps_c, _m, arch,
                                        thetas, config.n_mc, eval_seed)
 
@@ -388,10 +405,10 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                                    points)
 
                 # Steps 6-7: value sweeps under the network control
-                u_net = policy_value_sweep(problem, lat_c, steps_c, m_bar,
+                u_net = policy_value_sweep(problem, lat_c, steps_c, mbar_path,
                                            net_control)
-                m_fine = _fine_measure_path(m_bar, steps_c, steps_f)
-                v_k = policy_value_sweep(problem, lat_f, steps_f, m_fine,
+                mbar_fine = _fine_mean_path(mbar_path, steps_c, steps_f)
+                v_k = policy_value_sweep(problem, lat_f, steps_f, mbar_fine,
                                          net_control)
                 # Step 8: squared value change on the fine lattice
                 value_change = float(np.sum((v_k - v_prev) ** 2))
@@ -416,8 +433,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                             arch, theta)
             # write then rename, so a crash never leaves a torn state file
             with open(resume_file + ".tmp", "wb") as fh:
-                np.savez(fh, k=k, m_bar=_paths_to_array(m_bar),
-                         m_induced=_paths_to_array(m_new), v_fine=v_prev,
+                np.savez(fh, k=k, m_bar=m_bar, m_induced=m_new, v_fine=v_prev,
                          theta=theta,
                          first_w2=-1 if first_w2 is None else first_w2,
                          first_value=-1 if first_value is None
@@ -448,7 +464,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
 
     if u_net is None:
         # resumed past the stopping point: rebuild the sweeps for artifacts
-        u_net = policy_value_sweep(problem, lat_c, steps_c, m_bar,
+        u_net = policy_value_sweep(problem, lat_c, steps_c, mbar_path,
                                    net_control_final)
 
     # final artifacts
@@ -468,7 +484,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     def policy(t, x):
         return forward(arch, theta, np.full(x.shape[0], t), x)
 
-    bundle = simulate_sde(problem, policy, m_bar, config.n_eval_paths,
+    bundle = simulate_sde(problem, policy, mbar_path, config.n_eval_paths,
                           steps_c, int(substream(config.seed, "paths")
                                        .integers(2 ** 62)),
                           share_common_noise=problem.has_common_noise)

@@ -15,7 +15,7 @@ numbers), so each value equals that of a one-row call with the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,35 +101,33 @@ class ProjectionRegion:
                    anchor_states=states, anchor_controls=anchors, band=band)
 
 
-def improvement(problem, lattice, steps, m_path, arch, thetas,
+def improvement(problem, lattice, steps, mbar_path, arch, thetas,
                 n_mc: int, seed: int) -> np.ndarray:
     """Negative average Monte-Carlo chain cost for each row of ``thetas``.
 
     Each node launches ``n_mc`` chains at t = 0 under the network of each
-    row; all rows share the uniforms drawn from ``seed`` (common random
-    numbers).  Returns shape (P,).
+    row, against the (n_time + 1, d) mean path ``mbar_path``; all rows share
+    the uniforms drawn from ``seed`` (common random numbers).  Returns shape
+    (P,).
     """
-    from .lattice import stencil_probabilities
+    from .lattice import chain_step, stencil_probabilities
 
     rng = substream(seed, "improve")
     n_nodes = lattice.n_nodes
     rows = np.arange(len(thetas))[:, None]
     nodes = np.tile(np.repeat(np.arange(n_nodes), n_mc), (rows.shape[0], 1))
-    neigh = lattice.neighbor_indices()
     total = np.zeros(nodes.shape)
     for n in range(steps.n_time):
         t = n * steps.h2
         layer = forward(arch, thetas, np.full(n_nodes, t),
                         lattice.points).transpose(1, 0, 2)    # (N, P, k)
-        probs = stencil_probabilities(problem, lattice, steps, t, m_path[n],
-                                      layer)
+        probs = stencil_probabilities(problem, lattice, steps, t,
+                                      mbar_path[n], layer)
         cost = problem.running_cost(t, lattice.points[:, None, :],
-                                    m_path[n], layer)         # (N, P)
+                                    mbar_path[n], layer)      # (N, P)
         total += cost[nodes, rows] * steps.h2
-        cum = np.cumsum(probs, axis=2)[nodes, rows]   # (P, N*n_mc, n_off)
-        u = rng.uniform(size=nodes.shape[1])
-        nodes = neigh[nodes, np.argmax(cum > u[:, None], axis=2)]
-    total += problem.terminal_cost(lattice.points, m_path[-1])[nodes]
+        nodes = chain_step(lattice, probs, nodes, rng, rows)
+    total += problem.terminal_cost(lattice.points, mbar_path[-1])[nodes]
     g = -np.mean(total, axis=1)
     if not np.all(np.isfinite(g)):
         raise NonFiniteEvaluation("improvement evaluation is not finite")

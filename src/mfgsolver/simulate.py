@@ -3,7 +3,8 @@
 Two regimes: Euler-Maruyama paths of the continuous dynamics (optionally
 driven by a shared common-noise increment across all paths), and paths of
 the approximating chain on the lattice.  Both produce a PathBundle that can
-be costed against a frozen interaction path or written to CSV.
+be costed against a frozen mean path of the population, shape
+(n_time + 1, d), or written to CSV.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ def grid_policy(lattice, field: np.ndarray, steps):
     return policy
 
 
-def simulate_sde(problem, policy, m_path, n_paths: int, steps, seed: int,
+def simulate_sde(problem, policy, mbar_path, n_paths: int, steps, seed: int,
                  x0=None, share_common_noise: bool = False) -> PathBundle:
-    """Euler-Maruyama under a feedback policy and a frozen interaction path.
+    """Euler-Maruyama under a feedback policy and a frozen mean path.
 
     ``policy(t, x)`` maps a (n_paths, d) state batch to (n_paths, k)
     controls.  With ``share_common_noise`` on a common-noise problem, every
@@ -65,7 +66,7 @@ def simulate_sde(problem, policy, m_path, n_paths: int, steps, seed: int,
     conditional-equilibrium benchmark can be evaluated on it.  States are
     clamped into the domain box only when the model declares it bounded.
     """
-    if len(m_path) != steps.n_time + 1:
+    if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
     rng = substream(seed, "sde")
     d = problem.dim
@@ -87,7 +88,7 @@ def simulate_sde(problem, policy, m_path, n_paths: int, steps, seed: int,
         t = n * steps.h2
         al = np.asarray(policy(t, x), dtype=float)
         controls[:, n] = al
-        b = np.asarray(problem.drift(t, x, m_path[n], al), dtype=float)
+        b = np.asarray(problem.drift(t, x, mbar_path[n], al), dtype=float)
         b = np.broadcast_to(b, x.shape)
         sig = np.asarray(problem.diffusion(t, np.zeros(d)), dtype=float)
         dw = rng.standard_normal((n_paths, d)) * sq
@@ -101,7 +102,7 @@ def simulate_sde(problem, policy, m_path, n_paths: int, steps, seed: int,
                       common_noise=w0)
 
 
-def simulate_chain(problem, lattice, steps, controls, m_path,
+def simulate_chain(problem, lattice, steps, controls, mbar_path,
                    n_paths: int, seed: int, x0=None) -> PathBundle:
     """Paths of the locally consistent chain under a grid control field.
 
@@ -109,46 +110,44 @@ def simulate_chain(problem, lattice, steps, controls, m_path,
     ``(t, points) -> (n_nodes, k)``.  Starts from ``x0`` snapped to the
     lattice, or from the initial law.
     """
-    from .lattice import stencil_probabilities
+    from .lattice import chain_step, stencil_probabilities
 
-    if len(m_path) != steps.n_time + 1:
+    if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
     rng = substream(seed, "chain")
     if x0 is None:
         nodes = lattice.indices_of(problem.initial_sampler(rng, n_paths))
     else:
         nodes = np.full(n_paths, lattice.index_of(np.asarray(x0, dtype=float)))
-    neigh = lattice.neighbor_indices()
     states = np.empty((n_paths, steps.n_time + 1, problem.dim))
     applied = np.empty((n_paths, steps.n_time, problem.control_dim))
     states[:, 0] = lattice.points[nodes]
     for n in range(steps.n_time):
         t = n * steps.h2
         layer = controls(t, lattice.points) if callable(controls) else controls[n]
-        probs = stencil_probabilities(problem, lattice, steps, t, m_path[n],
-                                      layer[:, None, :])[:, 0]
+        probs = stencil_probabilities(problem, lattice, steps, t,
+                                      mbar_path[n], layer[:, None, :])[:, 0]
         applied[:, n] = layer[nodes]
-        cum = np.cumsum(probs[nodes], axis=1)
-        u = rng.uniform(size=n_paths)
-        nodes = neigh[nodes, np.argmax(cum > u[:, None], axis=1)]
+        nodes = chain_step(lattice, probs, nodes, rng)
         states[:, n + 1] = lattice.points[nodes]
     return PathBundle(times=steps.times(), states=states, controls=applied)
 
 
-def estimate_cost(problem, bundle: PathBundle, m_path, steps):
+def estimate_cost(problem, bundle: PathBundle, mbar_path, steps):
     """Sample mean and standard error of the pathwise cost functional.
 
     Riemann sum of the running cost on the left endpoints plus the terminal
     cost, averaged over paths.
     """
-    if len(m_path) != steps.n_time + 1:
+    if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
     totals = np.zeros(bundle.n_paths)
     for n in range(steps.n_time):
         t = n * steps.h2
         totals += problem.running_cost(
-            t, bundle.states[:, n], m_path[n], bundle.controls[:, n]) * steps.h2
-    totals += problem.terminal_cost(bundle.states[:, -1], m_path[-1])
+            t, bundle.states[:, n], mbar_path[n],
+            bundle.controls[:, n]) * steps.h2
+    totals += problem.terminal_cost(bundle.states[:, -1], mbar_path[-1])
     mean = float(np.mean(totals))
     se = float(np.std(totals, ddof=1) / np.sqrt(bundle.n_paths)) \
         if bundle.n_paths > 1 else 0.0

@@ -13,7 +13,7 @@ import pytest
 
 from mfgsolver.lattice import StepSizes, build_lattice, check_local_consistency, \
     policy_value_sweep, transition_row
-from mfgsolver.measures import EmpiricalMeasure, MeasurePath, wasserstein2
+from mfgsolver.measures import wasserstein2
 from mfgsolver.network import NetworkArchitecture, fit_loss, forward, \
     grad_fit_loss_raw, load_checkpoint, random_theta
 from mfgsolver.problems import LqParams, lq_analytic_equilibrium, lq_problem, \
@@ -68,8 +68,7 @@ def test_criterion_02_mcam_structural_suite():
     for _ in range(200):
         idx = int(rng.choice(interior))
         t = float(rng.uniform(0.0, steps.horizon - steps.h2))
-        m = EmpiricalMeasure.point_mass(
-            rng.uniform(problem.domain_lower, problem.domain_upper))
+        m = rng.uniform(problem.domain_lower, problem.domain_upper)
         al = rng.uniform(problem.control_lower, problem.control_upper)
         row = transition_row(problem, lat, steps, t, idx, m, al)
         probs = np.array([p for _, p in row.targets])
@@ -85,8 +84,7 @@ def test_criterion_03_dp_monte_carlo_agreement():
     problem = mfg2d_problem()
     steps = StepSizes.for_horizon(1.0, 0.2, 0.01)
     lat = build_lattice(problem, steps)
-    m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5, 0.5]),
-                             steps.n_time)
+    m = np.full((steps.n_time + 1, 2), 0.5)
     alpha = np.array([0.5, 0.5])
     field = np.broadcast_to(alpha, (steps.n_time, lat.n_nodes, 2)).copy()
 
@@ -117,15 +115,13 @@ def test_criterion_04_wasserstein_oracle():
         d = int(rng.integers(1, 4))
         a = rng.normal(size=(n, d))
         b = rng.normal(size=(n, d))
-        w = wasserstein2(EmpiricalMeasure.from_points(a),
-                         EmpiricalMeasure.from_points(b))
+        w = wasserstein2(a, b)
         best = min(
             np.mean(np.sum((a - b[list(perm)]) ** 2, axis=1))
             for perm in itertools.permutations(range(n)))
         assert abs(w - np.sqrt(best)) <= 1e-12
     for _ in range(100):
-        clouds = [EmpiricalMeasure.from_points(rng.normal(size=(4, 2)))
-                  for _ in range(3)]
+        clouds = [rng.normal(size=(4, 2)) for _ in range(3)]
         dab = wasserstein2(clouds[0], clouds[1])
         dbc = wasserstein2(clouds[1], clouds[2])
         dac = wasserstein2(clouds[0], clouds[2])
@@ -213,8 +209,7 @@ def test_criterion_08_lq_degenerate_mean():
     times = steps.times()
     _, alpha_fn, _ = lq_analytic_equilibrium(params, np.zeros_like(times),
                                              times)
-    m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5]),
-                             steps.n_time)
+    m = np.full((steps.n_time + 1, 1), 0.5)
 
     def policy(t, x):
         return alpha_fn(t, x[:, 0])[:, None]

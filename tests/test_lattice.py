@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from mfgsolver.errors import (EmptyControlGrid, NegativeProbability,
                               NonDivisibleDomain, DimensionMismatch)
-from mfgsolver.lattice import (StepSizes, build_lattice, check_local_consistency,
+from mfgsolver.lattice import (StepSizes, build_lattice, chain_step,
+                               check_local_consistency,
                                control_grid, dp_backward_sweep,
                                policy_value_sweep, stencil_probabilities,
                                transition_row, validate_stepsizes)
-from mfgsolver.measures import EmpiricalMeasure, MeasurePath
 from mfgsolver.problems import LqParams, MfgProblem, lq_problem, mfg2d_problem
 
 
@@ -77,9 +77,9 @@ class TestLattice:
 
 class TestTransitionRow:
     def test_axis_probability_values(self, lq):
-        # b = 0 at the node x=0.4 would need mean 0.4; use a point mass there
+        # b = 0 at the node x=0.4 needs the population mean at 0.4
         problem, steps, lat = lq
-        m = EmpiricalMeasure.point_mass([0.4])
+        m = np.array([0.4])
         idx = lat.index_of([0.4])
         row = transition_row(problem, lat, steps, 0.0, idx, m, np.array([0.0]))
         probs = dict(row.targets)
@@ -90,7 +90,7 @@ class TestTransitionRow:
 
     def test_drift_shifts_mass(self, lq):
         problem, steps, lat = lq
-        m = EmpiricalMeasure.point_mass([0.4])
+        m = np.array([0.4])
         idx = lat.index_of([0.4])
         row = transition_row(problem, lat, steps, 0.0, idx, m, np.array([1.0]))
         probs = dict(row.targets)
@@ -100,7 +100,7 @@ class TestTransitionRow:
 
     def test_rows_sum_to_one(self, m2d):
         problem, steps, lat = m2d
-        m = EmpiricalMeasure.point_mass([0.5, 0.5])
+        m = np.array([0.5, 0.5])
         rng = np.random.default_rng(0)
         for _ in range(20):
             idx = int(rng.integers(lat.n_nodes))
@@ -112,7 +112,7 @@ class TestTransitionRow:
 
     def test_boundary_mass_merged(self, m2d):
         problem, steps, lat = m2d
-        m = EmpiricalMeasure.point_mass([0.5, 0.5])
+        m = np.array([0.5, 0.5])
         row = transition_row(problem, lat, steps, 0.0, 0, m,
                              np.array([0.0, 0.0]))
         # corner node: clamped targets collapse, still a distribution
@@ -127,7 +127,7 @@ class TestTransitionRow:
         problem, steps, lat = m2d
         interior = np.flatnonzero(lat.interior_mask())
         idx = int(interior[xi % len(interior)])
-        m = EmpiricalMeasure.point_mass([mx, my])
+        m = np.array([mx, my])
         al = np.array([a1, a2])
         t = tn * steps.h2
         row = transition_row(problem, lat, steps, t, idx, m, al)
@@ -137,7 +137,7 @@ class TestTransitionRow:
     def test_negative_probability_raises(self, m2d):
         problem, _, lat = m2d
         bad = StepSizes(h1=0.2, h2=0.05, n_time=20)  # h2/h1^2 too large
-        m = EmpiricalMeasure.point_mass([0.5, 0.5])
+        m = np.array([0.5, 0.5])
         with pytest.raises(NegativeProbability):
             validate_stepsizes(problem, lat, bad, m,
                                control_grid(problem, 3))
@@ -148,8 +148,7 @@ class TestDp:
         problem = zero_cost_problem()
         steps = StepSizes.for_horizon(1.0, 0.2, 0.01)
         lat = build_lattice(problem, steps)
-        m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5, 0.5]),
-                                 steps.n_time)
+        m = np.full((steps.n_time + 1, 2), 0.5)
         values, field = dp_backward_sweep(problem, lat, steps, m,
                                           control_grid(problem, 3))
         assert np.all(values == 0.0)
@@ -158,22 +157,20 @@ class TestDp:
 
     def test_empty_control_grid_raises(self, lq):
         problem, steps, lat = lq
-        m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5]),
-                                 steps.n_time)
+        m = np.full((steps.n_time + 1, 1), 0.5)
         with pytest.raises(EmptyControlGrid):
             dp_backward_sweep(problem, lat, steps, m, np.empty((0, 1)))
 
     def test_path_length_checked(self, lq):
         problem, steps, lat = lq
-        m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5]), 5)
+        m = np.full((6, 1), 0.5)
         with pytest.raises(DimensionMismatch):
             dp_backward_sweep(problem, lat, steps, m,
                               control_grid(problem, 3))
 
     def test_terminal_layer_is_terminal_cost(self, lq):
         problem, steps, lat = lq
-        m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5]),
-                                 steps.n_time)
+        m = np.full((steps.n_time + 1, 1), 0.5)
         values, _ = dp_backward_sweep(problem, lat, steps, m,
                                       control_grid(problem, 9))
         np.testing.assert_allclose(
@@ -181,8 +178,7 @@ class TestDp:
 
     def test_policy_sweep_matches_dp_under_optimal_field(self, lq):
         problem, steps, lat = lq
-        m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5]),
-                                 steps.n_time)
+        m = np.full((steps.n_time + 1, 1), 0.5)
         ctrls = control_grid(problem, 9)
         values, field = dp_backward_sweep(problem, lat, steps, m, ctrls)
 
@@ -195,8 +191,7 @@ class TestDp:
 
     def test_dp_value_decreases_with_richer_controls(self, lq):
         problem, steps, lat = lq
-        m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5]),
-                                 steps.n_time)
+        m = np.full((steps.n_time + 1, 1), 0.5)
         v_coarse, _ = dp_backward_sweep(problem, lat, steps, m,
                                         control_grid(problem, 3))
         v_fine, _ = dp_backward_sweep(problem, lat, steps, m,
@@ -208,7 +203,7 @@ class TestDp:
 class TestBatchProbabilities:
     def test_batched_matches_single(self, m2d):
         problem, steps, lat = m2d
-        m = EmpiricalMeasure.point_mass([0.3, 0.7])
+        m = np.array([0.3, 0.7])
         rng = np.random.default_rng(1)
         alphas = rng.uniform(0, 1.5, size=(lat.n_nodes, 4, 2))
         batch = stencil_probabilities(problem, lat, steps, 0.5, m, alphas)
@@ -219,3 +214,38 @@ class TestBatchProbabilities:
                     np.broadcast_to(alphas[node, c],
                                     (lat.n_nodes, 1, 2)))[node, 0]
                 np.testing.assert_allclose(batch[node, c], single, atol=1e-15)
+
+
+class TestChainStep:
+    """The shared kernel draws the same moves as gathering each chain's
+    stencil row first and sampling its cumulative sum."""
+
+    def test_matches_gathered_rows(self, m2d):
+        problem, steps, lat = m2d
+        rng = np.random.default_rng(4)
+        alphas = rng.uniform(0, 1.5, size=(lat.n_nodes, 1, 2))
+        probs = stencil_probabilities(problem, lat, steps, 0.0,
+                                      np.array([0.5, 0.5]), alphas)[:, 0]
+        nodes = rng.integers(lat.n_nodes, size=500)
+        u = np.random.default_rng(8).uniform(size=500)
+        cum = np.cumsum(probs[nodes], axis=1)
+        expected = lat.neighbor_indices()[
+            nodes, np.argmax(cum > u[:, None], axis=1)]
+        got = chain_step(lat, probs, nodes, np.random.default_rng(8))
+        assert np.array_equal(got, expected)
+
+    def test_rows_share_uniforms(self, m2d):
+        problem, steps, lat = m2d
+        rng = np.random.default_rng(5)
+        alphas = rng.uniform(0, 1.5, size=(lat.n_nodes, 3, 2))
+        probs = stencil_probabilities(problem, lat, steps, 0.0,
+                                      np.array([0.3, 0.7]), alphas)
+        nodes = rng.integers(lat.n_nodes, size=(3, 200))
+        rows = np.arange(3)[:, None]
+        got = chain_step(lat, probs, nodes, np.random.default_rng(9), rows)
+        u = np.random.default_rng(9).uniform(size=200)
+        for r in range(3):
+            cum = np.cumsum(probs[nodes[r], r], axis=1)
+            expected = lat.neighbor_indices()[
+                nodes[r], np.argmax(cum > u[:, None], axis=1)]
+            assert np.array_equal(got[r], expected)

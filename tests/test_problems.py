@@ -56,19 +56,15 @@ class TestRiccati:
 class TestLqProblem:
     def test_drift_and_costs(self):
         problem = lq_problem(LqParams())
-
-        class M:
-            def mean(self):
-                return np.array([0.5])
-
+        mbar = np.array([0.5])
         x = np.array([[0.3]])
         al = np.array([[0.2]])
-        b = problem.drift(0.0, x, M(), al)
+        b = problem.drift(0.0, x, mbar, al)
         assert b[0, 0] == pytest.approx(0.1 * 0.2 + 0.2)
-        f = problem.running_cost(0.0, x, M(), al)
+        f = problem.running_cost(0.0, x, mbar, al)
         assert f[0] == pytest.approx(0.5 * 0.04 - 0.1 * 0.2 * 0.2
                                      + 0.25 * 0.04)
-        g = problem.terminal_cost(x, M())
+        g = problem.terminal_cost(x, mbar)
         assert g[0] == pytest.approx(0.25 * 0.04)
 
     def test_diffusion_matrix(self):
@@ -125,15 +121,11 @@ class TestMfg2d:
 
     def test_costs_couple_to_the_mean(self):
         problem = mfg2d_problem()
-
-        class M:
-            def mean(self):
-                return np.array([0.8, 0.8])
-
+        mbar = np.array([0.8, 0.8])
         x = np.array([[1.0, 1.0]])
-        f = problem.running_cost(0.0, x, M(), np.array([[0.5, 0.5]]))
+        f = problem.running_cost(0.0, x, mbar, np.array([[0.5, 0.5]]))
         assert f[0] == pytest.approx(2 * 0.0 + 0.5)
-        g = problem.terminal_cost(x, M())
+        g = problem.terminal_cost(x, mbar)
         assert g[0] == pytest.approx(0.0)
 
     def test_diffusion(self):

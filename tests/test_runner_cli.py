@@ -152,7 +152,9 @@ class TestCli:
 
     @pytest.mark.parametrize("model,line", [
         ("lq", "sigma = abc"), ("lq", "sigma = -1.0"),
-        ("mfg2d", "sigma = abc"), ("mfg2d", "sigma = -1.0")])
+        ("mfg2d", "sigma = abc"), ("mfg2d", "sigma = -1.0"),
+        ("lq", "sigma = nan"), ("lq", "sigma = inf"), ("lq", "t = nan"),
+        ("mfg2d", "horizon = inf")])
     def test_solve_bad_model_scalar_exit_2(self, tmp_path, capsys, model,
                                            line):
         text = tiny_lq_config(tmp_path / "out").to_ini().replace(
@@ -161,7 +163,17 @@ class TestCli:
         path.write_text(text)
         assert main(["solve", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and "sigma" in err
+        assert err.startswith("config error") and line.split()[0] in err
+        assert not (tmp_path / "out").exists()
+
+    def test_solve_infeasible_stepsizes_exit_2(self, tmp_path, capsys):
+        # h2/h1^2 = 1 on the fine lattice: the self-loop goes negative
+        cfg = tiny_lq_config(tmp_path / "out", h1_fine=0.05, h2_fine=0.0025)
+        path = tmp_path / "bad.cfg"
+        path.write_text(cfg.to_ini())
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "h2=0.0025" in err
         assert not (tmp_path / "out").exists()
 
     def test_solve_tiny_run(self, tmp_path, capsys):

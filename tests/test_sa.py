@@ -149,13 +149,11 @@ class TestTrain:
 
 @pytest.fixture(scope="module")
 def setup():
-    from mfgsolver.measures import EmpiricalMeasure, MeasurePath
     from mfgsolver.problems import LqParams, lq_problem
     problem = lq_problem(LqParams())
     steps = StepSizes.for_horizon(1.0, 0.5, 0.05)
     lat = build_lattice(problem, steps)
-    m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5]),
-                             steps.n_time)
+    m = np.full((steps.n_time + 1, 1), 0.5)
     arch = NetworkArchitecture.for_problem(problem, hidden=(4,))
     return problem, steps, lat, m, arch
 
@@ -177,7 +175,7 @@ class TestImprovement:
         assert np.isfinite(g)
 
 
-def sequential_improvement(problem, lattice, steps, m_path, arch, theta,
+def sequential_improvement(problem, lattice, steps, mbar_path, arch, theta,
                            n_mc, seed):
     """Reference: one parameter vector, every chain stepped on its own."""
     from mfgsolver.lattice import stencil_probabilities
@@ -190,20 +188,20 @@ def sequential_improvement(problem, lattice, steps, m_path, arch, theta,
     for n in range(steps.n_time):
         t = n * steps.h2
         layer = forward(arch, theta, np.full(n_nodes, t), lattice.points)
-        probs = stencil_probabilities(problem, lattice, steps, t, m_path[n],
-                                      layer[:, None, :])[:, 0]
+        probs = stencil_probabilities(problem, lattice, steps, t,
+                                      mbar_path[n], layer[:, None, :])[:, 0]
         total += problem.running_cost(
-            t, lattice.points[nodes], m_path[n], layer[nodes]) * steps.h2
+            t, lattice.points[nodes], mbar_path[n], layer[nodes]) * steps.h2
         cum = np.cumsum(probs[nodes], axis=1)
         u = rng.uniform(size=nodes.shape[0])
         nodes = neigh[nodes, np.argmax(cum > u[:, None], axis=1)]
-    total += problem.terminal_cost(lattice.points[nodes], m_path[-1])
+    total += problem.terminal_cost(lattice.points[nodes], mbar_path[-1])
     return -float(np.mean(total))
 
 
 @pytest.fixture(scope="module", params=["lq", "mfg2d"])
 def oracle_setup(request, setup):
-    from mfgsolver.measures import EmpiricalMeasure, MeasurePath
+    from mfgsolver.measures import mean_path
     from mfgsolver.problems import mfg2d_problem
     if request.param == "lq":
         problem, steps, lat, m, _ = setup
@@ -212,8 +210,7 @@ def oracle_setup(request, setup):
         steps = StepSizes.for_horizon(1.0, 0.25, 0.02)
         lat = build_lattice(problem, steps)
         cloud = substream(5, "oracle").uniform(0.0, 1.0, size=(50, 2))
-        m = MeasurePath.constant(EmpiricalMeasure.from_points(cloud),
-                                 steps.n_time)
+        m = mean_path(np.repeat(cloud[None], steps.n_time + 1, axis=0))
     arch = NetworkArchitecture.for_problem(problem, hidden=(3,))
     return problem, steps, lat, m, arch
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mfgsolver.lattice import StepSizes, build_lattice
-from mfgsolver.measures import EmpiricalMeasure, MeasurePath
 from mfgsolver.problems import LqParams, lq_problem, mfg2d_problem
 from mfgsolver.simulate import (PathBundle, estimate_cost, grid_policy,
                                 paths_to_csv, simulate_chain, simulate_sde)
@@ -12,7 +11,7 @@ from mfgsolver.simulate import (PathBundle, estimate_cost, grid_policy,
 def lq():
     problem = lq_problem(LqParams())
     steps = StepSizes.for_horizon(1.0, 0.2, 0.01)
-    m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5]), steps.n_time)
+    m = np.full((steps.n_time + 1, 1), 0.5)
     return problem, steps, m
 
 
@@ -51,8 +50,7 @@ class TestSimulateSde:
     def test_bounded_domain_clamped(self):
         problem = mfg2d_problem()
         steps = StepSizes.for_horizon(1.0, 0.2, 0.01)
-        m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5, 0.5]),
-                                 steps.n_time)
+        m = np.full((steps.n_time + 1, 2), 0.5)
 
         def pol(t, x):
             return np.zeros((x.shape[0], 2))
@@ -65,8 +63,7 @@ class TestSimulateSde:
         params = LqParams(sigma=1e-8)
         problem = lq_problem(params)
         steps = StepSizes.for_horizon(1.0, 0.2, 0.01)
-        m = MeasurePath.constant(EmpiricalMeasure.point_mass([0.5]),
-                                 steps.n_time)
+        m = np.full((steps.n_time + 1, 1), 0.5)
         b = simulate_sde(problem, zero_policy, m, 1, steps, seed=0,
                          x0=np.array([2.0]))
         expected = 0.5 + 1.5 * np.exp(-params.a)
