@@ -375,30 +375,34 @@ def validate_stepsizes(problem, lattice: Lattice, steps: StepSizes,
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-def value_table_to_csv(path, lattice: Lattice, steps: StepSizes,
-                       values: np.ndarray) -> None:
-    d = lattice.dims
-    header = "t," + ",".join(f"x{i+1}" for i in range(d)) + ",value"
+def csv_rows(*columns) -> str:
+    """CSV lines of the stacked columns, every value formatted ``%.12g``.
+
+    ``%`` and ``format`` share one float formatter, so the text equals that
+    of ``f"{value:.12g}"`` per value; integer ids below 1e12 print as ``str``
+    does.
+    """
+    block = np.column_stack(columns)
+    row = ",".join(["%.12g"] * block.shape[1]) + "\n"
+    return (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _grid_table_to_csv(path, lattice: Lattice, steps: StepSizes,
+                       table: np.ndarray, names: list) -> None:
+    header = ",".join(["t", *(f"x{i+1}" for i in range(lattice.dims)), *names])
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for n in range(values.shape[0]):
-            t = n * steps.h2
-            for idx in range(lattice.n_nodes):
-                coords = ",".join(f"{c:.12g}" for c in lattice.points[idx])
-                fh.write(f"{t:.12g},{coords},{values[n, idx]:.12g}\n")
+        for n, layer in enumerate(table):
+            fh.write(csv_rows(np.full(lattice.n_nodes, n * steps.h2),
+                              lattice.points, layer))
+
+
+def value_table_to_csv(path, lattice: Lattice, steps: StepSizes,
+                       values: np.ndarray) -> None:
+    _grid_table_to_csv(path, lattice, steps, values, ["value"])
 
 
 def control_field_to_csv(path, lattice: Lattice, steps: StepSizes,
                          field: np.ndarray) -> None:
-    d = lattice.dims
-    k = field.shape[2]
-    header = ("t," + ",".join(f"x{i+1}" for i in range(d)) + ","
-              + ",".join(f"a{i+1}" for i in range(k)))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for n in range(field.shape[0]):
-            t = n * steps.h2
-            for idx in range(lattice.n_nodes):
-                coords = ",".join(f"{c:.12g}" for c in lattice.points[idx])
-                ctrl = ",".join(f"{c:.12g}" for c in field[n, idx])
-                fh.write(f"{t:.12g},{coords},{ctrl}\n")
+    _grid_table_to_csv(path, lattice, steps, field,
+                       [f"a{i+1}" for i in range(field.shape[2])])

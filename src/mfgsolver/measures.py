@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import LengthMismatch
+from .lattice import csv_rows
 from .seeding import substream
 
 
@@ -140,12 +141,11 @@ def induced_measure(problem, lattice, steps, controls, mbar_path: np.ndarray,
 
 def measure_path_to_csv(path: np.ndarray, steps, file_path) -> None:
     n_particles, d = path.shape[1:]
-    weight = f"{1.0 / n_particles:.12g}"
     header = "t,particle_id," + ",".join(f"x{i+1}" for i in range(d)) + ",weight"
+    ids = np.arange(n_particles)
+    weight = np.full(n_particles, 1.0 / n_particles)
     with open(file_path, "w") as fh:
         fh.write(header + "\n")
         for n, sl in enumerate(path):
-            t = n * steps.h2
-            for pid in range(n_particles):
-                coords = ",".join(f"{c:.12g}" for c in sl[pid])
-                fh.write(f"{t:.12g},{pid},{coords},{weight}\n")
+            fh.write(csv_rows(np.full(n_particles, n * steps.h2), ids, sl,
+                              weight))

@@ -177,14 +177,6 @@ def grad_fit_loss_raw(arch: NetworkArchitecture, theta: np.ndarray,
     return loss, flat
 
 
-def grad_fit_loss(arch: NetworkArchitecture, theta: np.ndarray,
-                  control_field: np.ndarray, lattice, steps) -> np.ndarray:
-    """Gradient of the grid-fit loss over all (time, node) samples."""
-    inputs, targets = _fit_dataset(arch, control_field, lattice, steps)
-    _, g = grad_fit_loss_raw(arch, theta, inputs, targets)
-    return g
-
-
 def _fit_dataset(arch: NetworkArchitecture, control_field: np.ndarray,
                  lattice, steps):
     n_time = control_field.shape[0]

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import (ConfigError, InvalidParams, NegativeProbability,
-                     SolverError)
+from .errors import ConfigError, NegativeProbability, SolverError
 from .lattice import (StepSizes, build_lattice, control_grid,
                       dp_backward_sweep, policy_value_sweep,
                       validate_stepsizes, value_table_to_csv,
@@ -37,30 +36,67 @@ from .measures import (average_update, fixed_point_gap, induced_measure,
                        w2_stop_threshold)
 from .network import (NetworkArchitecture, fit_to_grid, forward,
                       random_theta, save_checkpoint)
-from .problems import LqParams, lq_problem, mfg2d_problem, riccati_closed_form
+from .problems import (LqParams, MfgProblem, lq_problem, mfg2d_problem,
+                       riccati_closed_form)
 from .sa import ProjectionRegion, SaSchedule, improvement, train
 from .seeding import substream
 from .simulate import paths_to_csv, simulate_sde
 
 
+def _widths(text: str) -> tuple:
+    return tuple(int(w) for w in text.split(",") if w.strip())
+
+
+#: Every INI key but ``[model]``, as (section, key, field, cast), in the
+#: order ``to_ini`` writes them.  The defaults live in ``RunConfig``.
+CONFIG_SCHEMA = (
+    ("lattice", "h1_coarse", "h1_coarse", float),
+    ("lattice", "h2_coarse", "h2_coarse", float),
+    ("lattice", "h1_fine", "h1_fine", float),
+    ("lattice", "h2_fine", "h2_fine", float),
+    ("lattice", "control_points", "control_points", int),
+    ("network", "hidden", "hidden", _widths),
+    ("fit", "trigger", "fit_trigger", float),
+    ("fit", "max_steps", "fit_max_steps", int),
+    ("sa", "eps0", "eps0", float),
+    ("sa", "delta0", "delta0", float),
+    ("sa", "p_eps", "p_eps", float),
+    ("sa", "p_delta", "p_delta", float),
+    ("sa", "max_steps", "sa_max_steps", int),
+    ("sa", "trigger", "sa_trigger", float),
+    ("sa", "n_mc", "n_mc", int),
+    ("sa", "m_bound", "m_bound", float),
+    ("sa", "control_band", "control_band", float),
+    ("iteration", "trigger", "iter_trigger", float),
+    ("iteration", "max_iters", "max_iters", int),
+    ("iteration", "w2_q", "w2_q", float),
+    ("iteration", "stop_rule", "stop_rule", str),
+    ("iteration", "n_particles", "n_particles", int),
+    ("iteration", "initial_measure", "initial_measure", str),
+    ("run", "seed", "seed", int),
+    ("run", "out_dir", "out_dir", str),
+    ("run", "n_eval_paths", "n_eval_paths", int),
+)
+
+#: The ``[model]`` scalars each model admits, besides ``name``.
+MODEL_KEYS = {"lq": ("a", "q", "c", "epsilon", "rho", "sigma", "t"),
+              "mfg2d": ("sigma", "horizon")}
+
+
 @dataclass
 class RunConfig:
-    """Everything one solve needs; round-trips through an INI file."""
+    """Everything one solve needs; its INI keys are in ``CONFIG_SCHEMA``."""
 
     model: str = "lq"
     model_params: dict = field(default_factory=dict)
-    # lattices
     h1_coarse: float = 0.2
     h2_coarse: float = 0.01
     h1_fine: float = 0.05
     h2_fine: float = 0.002
     control_points: int = 16
-    # network
     hidden: tuple = (8,)
-    # fit stage
     fit_trigger: float = 1e-3
     fit_max_steps: int = 10_000
-    # SA stage
     eps0: float = 1.0
     delta0: float = 0.5
     p_eps: float = 1.0
@@ -70,26 +106,34 @@ class RunConfig:
     n_mc: int = 32
     m_bound: float = 10.0
     control_band: float = np.inf
-    # global iteration
     iter_trigger: float = 1e-6
     max_iters: int = 50_000
     w2_q: float = 0.5
     stop_rule: str = "either"         # either | both | w2 | value
     n_particles: int = 2000
     initial_measure: str = "uncontrolled"  # uncontrolled | initial
-    # bookkeeping
     seed: int = 0
     out_dir: str = "out"
     n_eval_paths: int = 3
 
     def __post_init__(self):
-        if self.model not in ("lq", "mfg2d"):
+        if self.model not in MODEL_KEYS:
             raise ConfigError(f"unknown model '{self.model}'")
+        for key, val in self.model_params.items():
+            if key not in MODEL_KEYS[self.model]:
+                raise ConfigError(f"unknown key model/{key} for {self.model}")
+            if not np.isfinite(val):
+                raise ConfigError(f"model/{key} must be finite, got {val}")
+        for _, _, name, cast in CONFIG_SCHEMA:
+            if cast is float and np.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got nan")
         for name in ("fit_max_steps", "sa_max_steps", "max_iters",
-                     "n_particles", "control_points"):
+                     "n_particles", "control_points", "n_mc"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("fit_trigger", "sa_trigger", "iter_trigger"):
+        if self.n_eval_paths < 0:
+            raise ConfigError("n_eval_paths must be >= 0")
+        for name in ("fit_trigger", "sa_trigger", "iter_trigger", "m_bound"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.w2_q < 1.0:
@@ -99,49 +143,17 @@ class RunConfig:
         if self.initial_measure not in ("uncontrolled", "initial"):
             raise ConfigError(
                 f"unknown initial_measure '{self.initial_measure}'")
-        for key, val in self.model_params.items():
-            if not np.isfinite(val):
-                raise ConfigError(f"model/{key} must be finite, got {val}")
-        try:
-            self.build_problem()
-        except InvalidParams as exc:
-            raise ConfigError(f"bad model parameters: {exc}") from exc
-
-    # -- serialization ----------------------------------------------------
+        self.build()
 
     def to_ini(self) -> str:
+        # read_dict writes str(value), and str of a float is its repr
+        sections = {"model": {"name": self.model, **self.model_params}}
+        for sec, key, name, _ in CONFIG_SCHEMA:
+            val = getattr(self, name)
+            sections.setdefault(sec, {})[key] = \
+                ",".join(map(str, val)) if isinstance(val, tuple) else val
         cp = configparser.ConfigParser()
-        cp["model"] = {"name": self.model}
-        for key, val in self.model_params.items():
-            cp["model"][key] = repr(val)
-        cp["lattice"] = {
-            "h1_coarse": repr(self.h1_coarse),
-            "h2_coarse": repr(self.h2_coarse),
-            "h1_fine": repr(self.h1_fine),
-            "h2_fine": repr(self.h2_fine),
-            "control_points": str(self.control_points),
-        }
-        cp["network"] = {"hidden": ",".join(str(w) for w in self.hidden)}
-        cp["fit"] = {"trigger": repr(self.fit_trigger),
-                     "max_steps": str(self.fit_max_steps)}
-        cp["sa"] = {
-            "eps0": repr(self.eps0), "delta0": repr(self.delta0),
-            "p_eps": repr(self.p_eps), "p_delta": repr(self.p_delta),
-            "max_steps": str(self.sa_max_steps),
-            "trigger": repr(self.sa_trigger),
-            "n_mc": str(self.n_mc), "m_bound": repr(self.m_bound),
-            "control_band": repr(self.control_band),
-        }
-        cp["iteration"] = {
-            "trigger": repr(self.iter_trigger),
-            "max_iters": str(self.max_iters),
-            "w2_q": repr(self.w2_q),
-            "stop_rule": self.stop_rule,
-            "n_particles": str(self.n_particles),
-            "initial_measure": self.initial_measure,
-        }
-        cp["run"] = {"seed": str(self.seed), "out_dir": self.out_dir,
-                     "n_eval_paths": str(self.n_eval_paths)}
+        cp.read_dict(sections)
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -157,64 +169,60 @@ class RunConfig:
             model = cp.get("model", "name")
         except (configparser.NoSectionError, configparser.NoOptionError):
             raise ConfigError("missing key: model/name")
-
-        def get(sec, key, cast, default):
-            if cp.has_option(sec, key):
+        schema = {(sec, key): (name, cast)
+                  for sec, key, name, cast in CONFIG_SCHEMA}
+        sections = {sec for sec, _ in schema} | {"model"}
+        params, kwargs = {}, {}
+        for sec in cp.sections():
+            if sec not in sections:
+                raise ConfigError(f"unknown section [{sec}]")
+            for key in cp.options(sec):
+                if sec == "model":
+                    if key == "name":
+                        continue
+                    name, cast, target = key, float, params
+                elif (sec, key) in schema:
+                    (name, cast), target = schema[sec, key], kwargs
+                else:
+                    raise ConfigError(f"unknown key {sec}/{key}")
                 try:
-                    return cast(cp.get(sec, key))
-                except ValueError as exc:
+                    target[name] = cast(cp.get(sec, key))
+                except (ValueError, configparser.Error) as exc:
                     raise ConfigError(f"bad value for {sec}/{key}") from exc
-            return default
+        return cls(model=model, model_params=params, **kwargs)
 
-        params = {k: get("model", k, float, None)
-                  for k, _ in cp.items("model") if k != "name"}
-        d = cls.__dataclass_fields__
-        hidden_raw = get("network", "hidden", str, None)
-        hidden = tuple(int(w) for w in hidden_raw.split(",") if w.strip()) \
-            if hidden_raw else d["hidden"].default_factory() \
-            if callable(getattr(d["hidden"], "default_factory", None)) \
-            else (8,)
-        return cls(
-            model=model,
-            model_params=params,
-            h1_coarse=get("lattice", "h1_coarse", float, 0.2),
-            h2_coarse=get("lattice", "h2_coarse", float, 0.01),
-            h1_fine=get("lattice", "h1_fine", float, 0.05),
-            h2_fine=get("lattice", "h2_fine", float, 0.002),
-            control_points=get("lattice", "control_points", int, 16),
-            hidden=hidden,
-            fit_trigger=get("fit", "trigger", float, 1e-3),
-            fit_max_steps=get("fit", "max_steps", int, 10_000),
-            eps0=get("sa", "eps0", float, 1.0),
-            delta0=get("sa", "delta0", float, 0.5),
-            p_eps=get("sa", "p_eps", float, 1.0),
-            p_delta=get("sa", "p_delta", float, 0.25),
-            sa_max_steps=get("sa", "max_steps", int, 5000),
-            sa_trigger=get("sa", "trigger", float, 1e-5),
-            n_mc=get("sa", "n_mc", int, 32),
-            m_bound=get("sa", "m_bound", float, 10.0),
-            control_band=get("sa", "control_band", float, np.inf),
-            iter_trigger=get("iteration", "trigger", float, 1e-6),
-            max_iters=get("iteration", "max_iters", int, 50_000),
-            w2_q=get("iteration", "w2_q", float, 0.5),
-            stop_rule=get("iteration", "stop_rule", str, "either"),
-            n_particles=get("iteration", "n_particles", int, 2000),
-            initial_measure=get("iteration", "initial_measure", str,
-                                "uncontrolled"),
-            seed=get("run", "seed", int, 0),
-            out_dir=get("run", "out_dir", str, "out"),
-            n_eval_paths=get("run", "n_eval_paths", int, 3),
-        )
-
-    def build_problem(self):
+    def build_problem(self) -> MfgProblem:
         if self.model == "lq":
-            keys = {"a", "q", "c", "epsilon", "rho", "sigma", "t"}
-            kw = {("T" if k == "t" else k): v
-                  for k, v in self.model_params.items() if k in keys}
-            return lq_problem(LqParams(**kw))
-        kw = {k: v for k, v in self.model_params.items()
-              if k in ("sigma", "horizon")}
-        return mfg2d_problem(**kw)
+            return lq_problem(LqParams(**{("T" if k == "t" else k): v for k, v
+                                          in self.model_params.items()}))
+        return mfg2d_problem(**self.model_params)
+
+    def build(self) -> tuple:
+        """The objects a solve consumes: ``(problem, steps_c, lat_c, steps_f,
+        lat_f, controls, arch, schedule)``.
+
+        A value one of them rejects raises ``ConfigError`` naming its keys.
+        """
+        where = "bad model parameters"
+        try:
+            problem = self.build_problem()
+            grids = []
+            for tag in ("coarse", "fine"):
+                h1, h2 = getattr(self, f"h1_{tag}"), getattr(self, f"h2_{tag}")
+                where = f"h1_{tag}={h1}, h2_{tag}={h2}"
+                steps = StepSizes.for_horizon(problem.horizon, h1, h2)
+                grids += [steps, build_lattice(problem, steps)]
+            where = f"hidden={self.hidden}"
+            arch = NetworkArchitecture.for_problem(problem, hidden=self.hidden)
+            where = "sa schedule"
+            schedule = SaSchedule(eps0=self.eps0, delta0=self.delta0,
+                                  p_eps=self.p_eps, p_delta=self.p_delta,
+                                  max_steps=self.sa_max_steps,
+                                  trigger=self.sa_trigger, n_mc=self.n_mc)
+        except (ValueError, SolverError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        return (problem, *grids, control_grid(problem, self.control_points),
+                arch, schedule)
 
 
 @dataclass
@@ -257,6 +265,17 @@ def _check_stepsizes(problem, grids, controls) -> None:
                     f"h1={steps.h1}, h2={steps.h2}: {exc}") from exc
 
 
+def _truncate_trace(path: str, k: int) -> list:
+    """Keep and return the rows of iterations up to ``k``, the last committed
+    one: a run that stopped before committing its state left later rows."""
+    with open(path) as fh:
+        rows = [row for row in fh
+                if row.endswith("\n") and json.loads(row)["k"] <= k]
+    with open(path, "w") as fh:
+        fh.writelines(rows)
+    return rows
+
+
 def _fine_mean_path(mbar_path: np.ndarray, steps_c: StepSizes,
                     steps_f: StepSizes) -> np.ndarray:
     """Reindex a coarse-time mean path onto the fine time grid."""
@@ -289,20 +308,9 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     out = config.out_dir
     t_start = time.monotonic()
 
-    problem = config.build_problem()
-    steps_c = StepSizes.for_horizon(problem.horizon, config.h1_coarse,
-                                    config.h2_coarse)
-    steps_f = StepSizes.for_horizon(problem.horizon, config.h1_fine,
-                                    config.h2_fine)
-    lat_c = build_lattice(problem, steps_c)
-    lat_f = build_lattice(problem, steps_f)
-    controls = control_grid(problem, config.control_points)
+    problem, steps_c, lat_c, steps_f, lat_f, controls, arch, schedule = \
+        config.build()
     _check_stepsizes(problem, ((lat_c, steps_c), (lat_f, steps_f)), controls)
-    arch = NetworkArchitecture.for_problem(problem, hidden=config.hidden)
-    schedule = SaSchedule(eps0=config.eps0, delta0=config.delta0,
-                          p_eps=config.p_eps, p_delta=config.p_delta,
-                          max_steps=config.sa_max_steps,
-                          trigger=config.sa_trigger, n_mc=config.n_mc)
     threshold = w2_stop_threshold(config.w2_q, config.h1_coarse)
 
     os.makedirs(out, exist_ok=True)
@@ -330,6 +338,12 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
             else None
         best_g = float(blob["best_g"])
         trace_mode = "a"
+        _truncate_trace(os.path.join(out, "trace_sa.jsonl"), k_start - 1)
+        # a frozen law is not simulated again: read the committed gap back
+        last = json.loads(_truncate_trace(
+            os.path.join(out, "trace_fixedpoint.jsonl"), k_start - 1)[-1])
+        gap = np.inf if last["w2_gap"] is None else last["w2_gap"]
+        value_change = last["value_change"]
     else:
         m_bar = _initial_measure_path(problem, lat_c, steps_c, config)
         mbar_path = mean_path(m_bar)
@@ -342,14 +356,13 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         first_w2 = None
         first_value = None
         best_g = -np.inf
+        gap = value_change = np.inf
         trace_mode = "w"
 
     trace_fp = open(os.path.join(out, "trace_fixedpoint.jsonl"), trace_mode)
     trace_sa = open(os.path.join(out, "trace_sa.jsonl"), trace_mode)
 
     k = k_start - 1
-    value_change = np.inf
-    gap = np.inf
     stopped_by = "budget"
     u_net = None
     try:
@@ -428,6 +441,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                 "fit_loss": fit_final_loss,
                 "w2_hit": w2_hit, "value_hit": value_hit}) + "\n")
             trace_fp.flush()
+            trace_sa.flush()
 
             save_checkpoint(os.path.join(out, f"theta_checkpoint_k{k}.csv"),
                             arch, theta)
@@ -442,30 +456,23 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
             os.replace(resume_file + ".tmp", resume_file)
 
             rule = config.stop_rule
-            if rule == "either" and (w2_hit or value_hit):
-                stopped_by = "w2" if w2_hit else "value"
-                break
-            if rule == "w2" and w2_hit:
-                stopped_by = "w2"
-                break
-            if rule == "value" and value_hit:
-                stopped_by = "value"
-                break
-            if rule == "both" and first_w2 is not None \
-                    and first_value is not None:
-                stopped_by = "both"
+            hit = {"w2": w2_hit, "value": value_hit,
+                   "either": w2_hit or value_hit,
+                   "both": first_w2 is not None and first_value is not None}
+            if hit[rule]:
+                stopped_by = rule if rule != "either" \
+                    else "w2" if w2_hit else "value"
                 break
     finally:
         trace_fp.close()
         trace_sa.close()
 
-    def net_control_final(t, points):
-        return forward(arch, theta, np.full(points.shape[0], t), points)
+    def policy(t, x):
+        return forward(arch, theta, np.full(x.shape[0], t), x)
 
     if u_net is None:
         # resumed past the stopping point: rebuild the sweeps for artifacts
-        u_net = policy_value_sweep(problem, lat_c, steps_c, mbar_path,
-                                   net_control_final)
+        u_net = policy_value_sweep(problem, lat_c, steps_c, mbar_path, policy)
 
     # final artifacts
     value_table_to_csv(os.path.join(out, "value_coarse.csv"), lat_c, steps_c,
@@ -480,10 +487,6 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                          fine_field)
     measure_path_to_csv(m_bar, steps_c, os.path.join(out, "measures.csv"))
     save_checkpoint(os.path.join(out, "theta_final.csv"), arch, theta)
-
-    def policy(t, x):
-        return forward(arch, theta, np.full(x.shape[0], t), x)
-
     bundle = simulate_sde(problem, policy, mbar_path, config.n_eval_paths,
                           steps_c, int(substream(config.seed, "paths")
                                        .integers(2 ** 62)),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch
+from .lattice import csv_rows
 from .seeding import substream
 
 
@@ -159,17 +160,15 @@ def paths_to_csv(bundle: PathBundle, file_path) -> None:
     k = bundle.controls.shape[2]
     header = ("path_id,t," + ",".join(f"x{i+1}" for i in range(d)) + ","
               + ",".join(f"a{i+1}" for i in range(k)))
-    if bundle.common_noise is not None:
+    noise = () if bundle.common_noise is None else (bundle.common_noise,)
+    if noise:
         header += ",w0"
+    n_rows = bundle.times.shape[0]
+    # last row repeats the final control (none is applied at T)
+    cn = np.minimum(np.arange(n_rows), bundle.controls.shape[1] - 1)
     with open(file_path, "w") as fh:
         fh.write(header + "\n")
         for pid in range(bundle.n_paths):
-            for n, t in enumerate(bundle.times):
-                coords = ",".join(f"{c:.12g}" for c in bundle.states[pid, n])
-                # last row repeats the final control (none is applied at T)
-                cn = min(n, bundle.controls.shape[1] - 1)
-                ctrl = ",".join(f"{c:.12g}" for c in bundle.controls[pid, cn])
-                line = f"{pid},{t:.12g},{coords},{ctrl}"
-                if bundle.common_noise is not None:
-                    line += f",{bundle.common_noise[n]:.12g}"
-                fh.write(line + "\n")
+            fh.write(csv_rows(np.full(n_rows, pid), bundle.times,
+                              bundle.states[pid], bundle.controls[pid, cn],
+                              *noise))

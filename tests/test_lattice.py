@@ -6,9 +6,10 @@ from mfgsolver.errors import (EmptyControlGrid, NegativeProbability,
                               NonDivisibleDomain, DimensionMismatch)
 from mfgsolver.lattice import (StepSizes, build_lattice, chain_step,
                                check_local_consistency,
-                               control_grid, dp_backward_sweep,
-                               policy_value_sweep, stencil_probabilities,
-                               transition_row, validate_stepsizes)
+                               control_field_to_csv, control_grid,
+                               dp_backward_sweep, policy_value_sweep,
+                               stencil_probabilities, transition_row,
+                               validate_stepsizes, value_table_to_csv)
 from mfgsolver.problems import LqParams, MfgProblem, lq_problem, mfg2d_problem
 
 
@@ -249,3 +250,64 @@ class TestChainStep:
             expected = lat.neighbor_indices()[
                 nodes[r], np.argmax(cum > u[:, None], axis=1)]
             assert np.array_equal(got[r], expected)
+
+
+def tricky_values(shape, seed):
+    """Values whose text is easy to get wrong, then random magnitudes."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    special = [-0.0, 1e-300, 0.123456789012345, 1 / 3, -2.5e17, np.inf, 7.0]
+    vals.flat[:len(special)] = special
+    return vals
+
+
+def reference_value_table_csv(path, lattice, steps, values):
+    d = lattice.dims
+    header = "t," + ",".join(f"x{i+1}" for i in range(d)) + ",value"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for n in range(values.shape[0]):
+            t = n * steps.h2
+            for idx in range(lattice.n_nodes):
+                coords = ",".join(f"{c:.12g}" for c in lattice.points[idx])
+                fh.write(f"{t:.12g},{coords},{values[n, idx]:.12g}\n")
+
+
+def reference_control_field_csv(path, lattice, steps, field):
+    d = lattice.dims
+    k = field.shape[2]
+    header = ("t," + ",".join(f"x{i+1}" for i in range(d)) + ","
+              + ",".join(f"a{i+1}" for i in range(k)))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for n in range(field.shape[0]):
+            t = n * steps.h2
+            for idx in range(lattice.n_nodes):
+                coords = ",".join(f"{c:.12g}" for c in lattice.points[idx])
+                ctrl = ",".join(f"{c:.12g}" for c in field[n, idx])
+                fh.write(f"{t:.12g},{coords},{ctrl}\n")
+
+
+class TestCsv:
+    """The block writers give the bytes of the per-value f-string loop."""
+
+    @pytest.mark.parametrize("problem", ["lq", "m2d"])
+    def test_value_table_matches_reference(self, problem, request,
+                                           tmp_path):
+        _, steps, lat = request.getfixturevalue(problem)
+        values = tricky_values((steps.n_time + 1, lat.n_nodes), seed=1)
+        value_table_to_csv(tmp_path / "a.csv", lat, steps, values)
+        reference_value_table_csv(tmp_path / "b.csv", lat, steps, values)
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("problem", ["lq", "m2d"])
+    def test_control_field_matches_reference(self, problem, request,
+                                             tmp_path):
+        prob, steps, lat = request.getfixturevalue(problem)
+        field = tricky_values((steps.n_time, lat.n_nodes, prob.control_dim),
+                              seed=2)
+        control_field_to_csv(tmp_path / "a.csv", lat, steps, field)
+        reference_control_field_csv(tmp_path / "b.csv", lat, steps, field)
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()

@@ -10,8 +10,8 @@ from mfgsolver.lattice import StepSizes, build_lattice, control_grid, \
     dp_backward_sweep
 from mfgsolver.measures import (average_update, fixed_point_gap,
                                 induced_measure, mean_path,
-                                systematic_resample, w2_stop_threshold,
-                                wasserstein2)
+                                measure_path_to_csv, systematic_resample,
+                                w2_stop_threshold, wasserstein2)
 from mfgsolver.problems import LqParams, lq_problem
 
 
@@ -227,3 +227,30 @@ class TestInducedMeasure:
         problem, steps, lat, m0, field = setup
         path = induced_measure(problem, lat, steps, field, m0, 2000, seed=2)
         assert abs(mean_path(path)[-1, 0] - 0.5) < 0.1
+
+
+def reference_measure_path_csv(path, steps, file_path):
+    n_particles, d = path.shape[1:]
+    weight = f"{1.0 / n_particles:.12g}"
+    header = "t,particle_id," + ",".join(f"x{i+1}" for i in range(d)) + ",weight"
+    with open(file_path, "w") as fh:
+        fh.write(header + "\n")
+        for n, sl in enumerate(path):
+            t = n * steps.h2
+            for pid in range(n_particles):
+                coords = ",".join(f"{c:.12g}" for c in sl[pid])
+                fh.write(f"{t:.12g},{pid},{coords},{weight}\n")
+
+
+class TestCsv:
+    @pytest.mark.parametrize("n,d", [(7, 1), (3, 2), (2000, 1)])
+    def test_matches_reference(self, setup, tmp_path, n, d):
+        steps = setup[1]
+        rng = np.random.default_rng(n)
+        path = rng.standard_normal((steps.n_time + 1, n, d)) * 1e3
+        path[0, 0] = -0.0
+        path[0, -1] = 0.123456789012345
+        measure_path_to_csv(path, steps, tmp_path / "a.csv")
+        reference_measure_path_csv(path, steps, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()

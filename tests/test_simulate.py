@@ -120,7 +120,50 @@ class TestGridPolicy:
         np.testing.assert_allclose(pol(0.0, x), x)
 
 
+def reference_paths_csv(bundle, file_path):
+    d = bundle.states.shape[2]
+    k = bundle.controls.shape[2]
+    header = ("path_id,t," + ",".join(f"x{i+1}" for i in range(d)) + ","
+              + ",".join(f"a{i+1}" for i in range(k)))
+    if bundle.common_noise is not None:
+        header += ",w0"
+    with open(file_path, "w") as fh:
+        fh.write(header + "\n")
+        for pid in range(bundle.n_paths):
+            for n, t in enumerate(bundle.times):
+                coords = ",".join(f"{c:.12g}" for c in bundle.states[pid, n])
+                cn = min(n, bundle.controls.shape[1] - 1)
+                ctrl = ",".join(f"{c:.12g}" for c in bundle.controls[pid, cn])
+                line = f"{pid},{t:.12g},{coords},{ctrl}"
+                if bundle.common_noise is not None:
+                    line += f",{bundle.common_noise[n]:.12g}"
+                fh.write(line + "\n")
+
+
 class TestCsv:
+    @pytest.mark.parametrize("common", [True, False])
+    def test_matches_reference(self, lq, tmp_path, common):
+        problem, steps, m = lq
+        b = simulate_sde(problem, lambda t, x: np.sin(7.0 * x) - 1e-300, m,
+                         3, steps, seed=4, share_common_noise=common)
+        b.states[0, 0, 0] = -0.0
+        b.controls[1, -1, 0] = 0.123456789012345
+        paths_to_csv(b, tmp_path / "a.csv")
+        reference_paths_csv(b, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
+    def test_2d_matches_reference(self, tmp_path):
+        problem = mfg2d_problem()
+        steps = StepSizes.for_horizon(1.0, 0.2, 0.05)
+        m = np.full((steps.n_time + 1, 2), 0.5)
+        b = simulate_sde(problem, lambda t, x: x[:, ::-1] * 1.5, m, 2, steps,
+                         seed=3)
+        paths_to_csv(b, tmp_path / "a.csv")
+        reference_paths_csv(b, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
     def test_header_and_rows(self, lq, tmp_path):
         problem, steps, m = lq
         b = simulate_sde(problem, zero_policy, m, 2, steps, seed=0,
