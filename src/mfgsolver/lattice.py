@@ -207,14 +207,20 @@ def chain_step(lattice: Lattice, probs: np.ndarray, nodes: np.ndarray, rng,
 
     ``probs`` holds the stencil probabilities per node, (n_nodes, n_off), or
     per node and row, (n_nodes, P, n_off), in which case ``rows`` (P, 1)
-    picks each chain's row of ``nodes`` (P, M).  One uniform is drawn per
+    picks each chain's row of ``nodes`` (P, M).  One uniform u is drawn per
     chain of the last axis and shared by all rows.  Returns the new nodes.
+    Each move is ``argmax(cum > u)``: the count of columns ``<= u`` of the
+    running maximum of ``cum`` (-1e-12 entries make it dip), 0 if all are.
     """
-    cum = np.cumsum(probs, axis=-1)
-    cum = cum[nodes] if rows is None else cum[nodes, rows]
+    cum = np.maximum.accumulate(np.cumsum(probs, axis=-1), axis=-1)
+    n_off = cum.shape[-1]
+    flat = nodes if rows is None else nodes * probs.shape[1] + rows
     u = rng.uniform(size=nodes.shape[-1])
-    return lattice.neighbor_indices()[nodes,
-                                      np.argmax(cum > u[:, None], axis=-1)]
+    offset = np.zeros(nodes.shape, dtype=np.intp)
+    for col in cum.reshape(-1, n_off).T.copy():
+        offset += np.take(col, flat) <= u
+    offset[offset == n_off] = 0
+    return np.take(lattice.neighbor_indices().ravel(), nodes * n_off + offset)
 
 
 @dataclass
@@ -375,26 +381,33 @@ def validate_stepsizes(problem, lattice: Lattice, steps: StepSizes,
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-def csv_rows(*columns) -> str:
-    """CSV lines of the stacked columns, every value formatted ``%.12g``.
-
-    ``%`` and ``format`` share one float formatter, so the text equals that
-    of ``f"{value:.12g}"`` per value; integer ids below 1e12 print as ``str``
-    does.
-    """
-    block = np.column_stack(columns)
-    row = ",".join(["%.12g"] * block.shape[1]) + "\n"
-    return (row * block.shape[0]) % tuple(block.ravel().tolist())
+def csv_blocks(*columns):
+    """Formatter ``block(key, values)`` of a CSV block: per row, the key,
+    then ``columns``.  An array, (rows,) or (rows, c), is the same in every
+    block and goes into a row template once (the first column is one); an
+    int c takes c of ``values`` per row.  Numbers print ``%.12g``, as
+    ``f"{value:.12g}"`` does, so ids below 1e12 print as ``str`` does."""
+    fields, fixed = ["{key}"], []
+    for col in columns:
+        if isinstance(col, int):
+            fields += ["%%.12g"] * col
+        else:
+            fixed.append(col.reshape(len(columns[0]), -1))
+            fields += ["%.12g"] * fixed[-1].shape[1]
+    template = ((",".join(fields) + "\n") * len(columns[0])
+                % tuple(np.column_stack(fixed).ravel().tolist()))
+    return lambda key, values: (template.replace("{key}", "%.12g" % key)
+                                % tuple(values.ravel().tolist()))
 
 
 def _grid_table_to_csv(path, lattice: Lattice, steps: StepSizes,
                        table: np.ndarray, names: list) -> None:
     header = ",".join(["t", *(f"x{i+1}" for i in range(lattice.dims)), *names])
+    block = csv_blocks(lattice.points, len(names))
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for n, layer in enumerate(table):
-            fh.write(csv_rows(np.full(lattice.n_nodes, n * steps.h2),
-                              lattice.points, layer))
+            fh.write(block(n * steps.h2, layer))
 
 
 def value_table_to_csv(path, lattice: Lattice, steps: StepSizes,

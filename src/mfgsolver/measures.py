@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import LengthMismatch
-from .lattice import csv_rows
+from .lattice import csv_blocks
 from .seeding import substream
 
 
@@ -142,10 +142,9 @@ def induced_measure(problem, lattice, steps, controls, mbar_path: np.ndarray,
 def measure_path_to_csv(path: np.ndarray, steps, file_path) -> None:
     n_particles, d = path.shape[1:]
     header = "t,particle_id," + ",".join(f"x{i+1}" for i in range(d)) + ",weight"
-    ids = np.arange(n_particles)
-    weight = np.full(n_particles, 1.0 / n_particles)
+    block = csv_blocks(np.arange(n_particles), d,
+                       np.full(n_particles, 1.0 / n_particles))
     with open(file_path, "w") as fh:
         fh.write(header + "\n")
         for n, sl in enumerate(path):
-            fh.write(csv_rows(np.full(n_particles, n * steps.h2), ids, sl,
-                              weight))
+            fh.write(block(n * steps.h2, sl))

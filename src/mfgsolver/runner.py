@@ -146,12 +146,13 @@ class RunConfig:
         self.build()
 
     def to_ini(self) -> str:
-        # read_dict writes str(value), and str of a float is its repr
+        # str of a float is its repr; % is doubled so from_ini reads it back
         sections = {"model": {"name": self.model, **self.model_params}}
         for sec, key, name, _ in CONFIG_SCHEMA:
             val = getattr(self, name)
-            sections.setdefault(sec, {})[key] = \
-                ",".join(map(str, val)) if isinstance(val, tuple) else val
+            text = ",".join(map(str, val)) if isinstance(val, tuple) \
+                else str(val)
+            sections.setdefault(sec, {})[key] = text.replace("%", "%%")
         cp = configparser.ConfigParser()
         cp.read_dict(sections)
         buf = io.StringIO()
@@ -344,6 +345,8 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
             os.path.join(out, "trace_fixedpoint.jsonl"), k_start - 1)[-1])
         gap = np.inf if last["w2_gap"] is None else last["w2_gap"]
         value_change = last["value_change"]
+        # replay the stop test: a run that stopped stays stopped
+        w2_hit, value_hit = last["w2_hit"], last["value_hit"]
     else:
         m_bar = _initial_measure_path(problem, lat_c, steps_c, config)
         mbar_path = mean_path(m_bar)
@@ -357,16 +360,23 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         first_value = None
         best_g = -np.inf
         gap = value_change = np.inf
+        w2_hit = value_hit = False
         trace_mode = "w"
 
     trace_fp = open(os.path.join(out, "trace_fixedpoint.jsonl"), trace_mode)
     trace_sa = open(os.path.join(out, "trace_sa.jsonl"), trace_mode)
 
     k = k_start - 1
-    stopped_by = "budget"
     u_net = None
+    rule = config.stop_rule
     try:
-        for k in range(k_start, config.max_iters + 1):
+        while True:
+            hit = {"w2": w2_hit, "value": value_hit,
+                   "either": w2_hit or value_hit,
+                   "both": first_w2 is not None and first_value is not None}
+            if hit[rule] or k >= config.max_iters:
+                break
+            k += 1
             measure_frozen = first_w2 is not None
             try:
                 # Step 1: grid policy under the frozen averaged law
@@ -454,18 +464,11 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                          else first_value,
                          best_g=best_g)
             os.replace(resume_file + ".tmp", resume_file)
-
-            rule = config.stop_rule
-            hit = {"w2": w2_hit, "value": value_hit,
-                   "either": w2_hit or value_hit,
-                   "both": first_w2 is not None and first_value is not None}
-            if hit[rule]:
-                stopped_by = rule if rule != "either" \
-                    else "w2" if w2_hit else "value"
-                break
     finally:
         trace_fp.close()
         trace_sa.close()
+    stopped_by = "budget" if not hit[rule] else rule if rule != "either" \
+        else "w2" if w2_hit else "value"
 
     def policy(t, x):
         return forward(arch, theta, np.full(x.shape[0], t), x)

@@ -125,7 +125,7 @@ def improvement(problem, lattice, steps, mbar_path, arch, thetas,
                                       mbar_path[n], layer)
         cost = problem.running_cost(t, lattice.points[:, None, :],
                                     mbar_path[n], layer)      # (N, P)
-        total += cost[nodes, rows] * steps.h2
+        total += np.take(cost, nodes * cost.shape[1] + rows) * steps.h2
         nodes = chain_step(lattice, probs, nodes, rng, rows)
     total += problem.terminal_cost(lattice.points, mbar_path[-1])[nodes]
     g = -np.mean(total, axis=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch
-from .lattice import csv_rows
+from .lattice import csv_blocks
 from .seeding import substream
 
 
@@ -166,9 +166,9 @@ def paths_to_csv(bundle: PathBundle, file_path) -> None:
     n_rows = bundle.times.shape[0]
     # last row repeats the final control (none is applied at T)
     cn = np.minimum(np.arange(n_rows), bundle.controls.shape[1] - 1)
+    block = csv_blocks(bundle.times, d + k + len(noise))
     with open(file_path, "w") as fh:
         fh.write(header + "\n")
         for pid in range(bundle.n_paths):
-            fh.write(csv_rows(np.full(n_rows, pid), bundle.times,
-                              bundle.states[pid], bundle.controls[pid, cn],
-                              *noise))
+            fh.write(block(pid, np.column_stack((
+                bundle.states[pid], bundle.controls[pid, cn], *noise))))

@@ -6,11 +6,13 @@ determinism check repeats the first run with the same seed.
 """
 
 import itertools
+import json
 import os
 
 import numpy as np
 import pytest
 
+from golden_artifacts import GOLDEN, REGENERATE, artifact_digests, versions
 from mfgsolver.lattice import StepSizes, build_lattice, check_local_consistency, \
     policy_value_sweep, transition_row
 from mfgsolver.measures import wasserstein2
@@ -270,3 +272,23 @@ def test_criterion_10_determinism(lq_run, tmp_path_factory):
         assert a == b, f"{name} differs between same-seed runs"
     print("criterion 10: same-seed reruns byte-identical "
           f"({', '.join(names)})")
+
+
+@pytest.mark.parametrize("run,name", [("lq_run", "lq.cfg"),
+                                      ("mfg2d_run", "mfg2d.cfg")])
+def test_golden_artifact_digests(run, name, request):
+    """Every artifact of a shipped config has the recorded bytes."""
+    cfg, _ = request.getfixturevalue(run)
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    recorded = {lib: golden[lib] for lib in versions()}
+    if recorded != versions():
+        pytest.skip(f"digests recorded with {recorded}, running "
+                    f"{versions()}; regenerate with: {REGENERATE}")
+    got = artifact_digests(cfg.out_dir)
+    differ = sorted(f for f in got.keys() | golden[name].keys()
+                    if got.get(f) != golden[name].get(f))
+    assert not differ, (f"{name}: {', '.join(differ)} differ from "
+                        f"tests/golden_artifacts.json; if the change is "
+                        f"meant to alter them, regenerate with: {REGENERATE}")
+    print(f"golden {name}: {len(got)} artifacts match")

@@ -252,6 +252,109 @@ class TestChainStep:
             assert np.array_equal(got[r], expected)
 
 
+class FixedUniforms:
+    """Stand-in generator whose ``uniform`` returns the given draws."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+class FixedStencil:
+    """Stand-in lattice with a given neighbour table, any stencil width."""
+
+    def __init__(self, neighbors):
+        self.neighbors = neighbors
+
+    def neighbor_indices(self):
+        return self.neighbors
+
+
+def reference_chain_step(neighbors, probs, nodes, u, rows=None):
+    """The gather-then-argmax step the kernel replaced."""
+    cum = np.cumsum(probs, axis=-1)
+    cum = cum[nodes] if rows is None else cum[nodes, rows]
+    return neighbors[nodes, np.argmax(cum > u[:, None], axis=-1)]
+
+
+def tricky_table(rng, n_nodes, n_rows, n_off):
+    """Stencil rows with the edge cases of inverse-CDF sampling: tolerated
+    -1e-13 off-centre entries, rows summing below 1, all-zero rows."""
+    probs = rng.dirichlet(np.ones(n_off), size=(n_nodes, n_rows))
+    probs[rng.uniform(size=probs.shape) < 0.15] = 0.0
+    neg = rng.uniform(size=probs.shape) < 0.2
+    neg[..., 0] = False
+    probs[neg] = -1e-13
+    probs[..., 0] += 1.0 - probs.sum(axis=-1)
+    probs[0, 0] *= 0.9          # the last cumulative value is below 1
+    probs[1, -1] = 0.0          # an all-zero row
+    return probs
+
+
+def tricky_uniforms(rng, cum, nodes, rows):
+    """Uniforms at, and 1e-13 either side of, a cumulative value of the
+    chain's own row, above its last value, zero, and plain draws."""
+    pick = cum[nodes] if rows is None else cum[nodes, rows][
+        rng.integers(len(rows), size=nodes.shape[1]), np.arange(nodes.shape[1])]
+    at = pick[np.arange(len(pick)), rng.integers(pick.shape[1],
+                                                 size=len(pick))]
+    choices = np.stack([at, at + 1e-13, at - 1e-13,
+                        np.full_like(at, 0.95), np.zeros_like(at),
+                        rng.uniform(size=len(at))])
+    u = choices[rng.integers(len(choices), size=len(at)), np.arange(len(at))]
+    return np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+
+
+class TestChainStepOracle:
+    """The column-count kernel equals ``argmax(cum > u)`` on every finite
+    table."""
+
+    @pytest.mark.parametrize("n_off", [3, 5, 9])
+    @pytest.mark.parametrize("n_rows", [None, 1, 4])
+    def test_equals_argmax_reference(self, n_off, n_rows):
+        rng = np.random.default_rng(100 * n_off + (n_rows or 0))
+        n_nodes, n_chains = 7, 400
+        neighbors = rng.integers(n_nodes, size=(n_nodes, n_off))
+        probs = tricky_table(rng, n_nodes, n_rows or 1, n_off)
+        if n_rows is None:
+            probs, rows = probs[:, 0], None
+            nodes = rng.integers(n_nodes, size=n_chains)
+        else:
+            rows = np.arange(n_rows)[:, None]
+            nodes = rng.integers(n_nodes, size=(n_rows, n_chains))
+        u = tricky_uniforms(rng, np.cumsum(probs, axis=-1), nodes, rows)
+        got = chain_step(FixedStencil(neighbors), probs, nodes,
+                         FixedUniforms(u), rows)
+        expected = reference_chain_step(neighbors, probs, nodes, u, rows)
+        assert np.array_equal(got, expected)
+        assert got.shape == nodes.shape
+
+    def test_no_column_exceeding_u_takes_offset_zero(self):
+        neighbors = np.array([[5, 6, 7], [8, 9, 10]])
+        probs = np.array([[0.2, 0.3, 0.4], [0.0, 0.0, 0.0]])
+        nodes = np.array([0, 0, 1, 1])
+        u = np.array([0.95, 0.9, 0.0, 0.5])
+        got = chain_step(FixedStencil(neighbors), probs, nodes,
+                         FixedUniforms(u))
+        assert got.tolist() == [5, 5, 8, 8]
+
+    def test_ties_and_dips(self):
+        # u equal to a cumulative value moves on; a -1e-13 entry makes the
+        # cumulative sum dip below u and back above it
+        neighbors = np.array([[0, 1, 2, 3, 4]])
+        probs = np.array([[0.5, 0.25, -1e-13, 1e-13, 0.25]])
+        nodes = np.zeros(4, dtype=int)
+        u = np.array([0.5, 0.75, 0.75 - 1e-13, 0.4])
+        got = chain_step(FixedStencil(neighbors), probs, nodes,
+                         FixedUniforms(u))
+        assert np.array_equal(got, reference_chain_step(neighbors, probs,
+                                                        nodes, u))
+        assert got.tolist() == [1, 4, 1, 0]
+
+
 def tricky_values(shape, seed):
     """Values whose text is easy to get wrong, then random magnitudes."""
     rng = np.random.default_rng(seed)
@@ -311,3 +414,27 @@ class TestCsv:
         reference_control_field_csv(tmp_path / "b.csv", lat, steps, field)
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("problem", ["lq", "m2d"])
+    def test_twelve_digit_times_match_reference(self, problem, request,
+                                                tmp_path):
+        # n * h2 = n / 7 needs all 12 significant digits; the lq lattice
+        # has negative coordinates, the mfg2d field two controls
+        prob, _, lat = request.getfixturevalue(problem)
+        steps = StepSizes(h1=lat.spacing, h2=1 / 7, n_time=7)
+        values = tricky_values((steps.n_time + 1, lat.n_nodes), seed=3)
+        field = tricky_values((steps.n_time, lat.n_nodes, prob.control_dim),
+                              seed=4)
+        value_table_to_csv(tmp_path / "a.csv", lat, steps, values)
+        reference_value_table_csv(tmp_path / "b.csv", lat, steps, values)
+        control_field_to_csv(tmp_path / "c.csv", lat, steps, field)
+        reference_control_field_csv(tmp_path / "d.csv", lat, steps, field)
+        for ours, ref in (("a", "b"), ("c", "d")):
+            assert (tmp_path / f"{ours}.csv").read_bytes() == \
+                (tmp_path / f"{ref}.csv").read_bytes()
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        assert lines[1 + 3 * lat.n_nodes].startswith("0.428571428571,")
+        assert lines[0].endswith(",".join(
+            f"a{i+1}" for i in range(prob.control_dim)))
+        if problem == "lq":
+            assert lines[2].startswith("0,-1.8,")

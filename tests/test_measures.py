@@ -254,3 +254,18 @@ class TestCsv:
         reference_measure_path_csv(path, steps, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("n,weight", [(3, "0.333333333333"),
+                                          (7, "0.142857142857")])
+    def test_long_weights_and_times_match_reference(self, tmp_path, n,
+                                                    weight):
+        # 1/n and n * h2 = n / 7 both need 12 significant digits
+        steps = StepSizes(h1=0.2, h2=1 / 7, n_time=7)
+        path = np.random.default_rng(n).uniform(-3, 3, (8, n, 2))
+        measure_path_to_csv(path, steps, tmp_path / "a.csv")
+        reference_measure_path_csv(path, steps, tmp_path / "b.csv")
+        text = (tmp_path / "a.csv").read_text()
+        assert text == (tmp_path / "b.csv").read_text()
+        lines = text.splitlines()
+        assert lines[1 + 5 * n].startswith("0.714285714286,0,")
+        assert all(line.endswith("," + weight) for line in lines[1:])

@@ -119,6 +119,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="run/out_dir"):
             RunConfig.from_ini("[model]\nname = lq\n[run]\nout_dir = a%x\n")
 
+    @pytest.mark.parametrize("out_dir", ["run%1", "a%%b%", "100%"])
+    def test_percent_in_string_round_trips(self, out_dir):
+        cfg = tiny_lq_config(out_dir)
+        text = cfg.to_ini()
+        assert RunConfig.from_ini(text) == cfg
+        assert RunConfig.from_ini(text).to_ini() == text
+
     def test_wrong_model_key_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="model/a"):
             RunConfig(model="mfg2d", model_params={"a": 3.0})
@@ -173,19 +180,25 @@ class TestRunner:
         with np.load(os.path.join(cfg.out_dir, "resume_state.npz")) as blob:
             assert int(blob["k"]) == report.iterations
 
-    @pytest.mark.parametrize("name,call", [
-        ("dp_backward_sweep", 2), ("fit_to_grid", 2), ("train", 2),
-        ("policy_value_sweep", 3), ("policy_value_sweep", 4),
-        ("save_checkpoint", 2), ("train", 3)])
+    CRASHES = [("dp_backward_sweep", 2, "value"), ("fit_to_grid", 2, "value"),
+               ("train", 2, "value"), ("policy_value_sweep", 3, "value"),
+               ("policy_value_sweep", 4, "value"),
+               ("save_checkpoint", 2, "value"), ("train", 3, "value"),
+               # stops by W2 at k=2 of 3, then fails on the first artifact
+               ("value_table_to_csv", 1, "either")]
+
+    @pytest.mark.parametrize("name,call,rule", CRASHES,
+                             ids=[f"{n}-{c}" for n, c, _ in CRASHES])
     def test_crash_then_resume_is_byte_identical(self, tmp_path, monkeypatch,
-                                                 name, call):
+                                                 name, call, rule):
         """A run stopped by a failure at a stage boundary of iteration 2 or
-        3 and then resumed leaves the same files as an uninterrupted run."""
-        full = tiny_lq_config(tmp_path / "full", max_iters=3,
-                              stop_rule="value")
-        run_algorithm1(full)
-        cfg = tiny_lq_config(tmp_path / "part", max_iters=3,
-                             stop_rule="value")
+        3, or while writing the artifacts after its stop rule fired, and then
+        resumed leaves the same files as an uninterrupted run."""
+        full = tiny_lq_config(tmp_path / "full", max_iters=3, stop_rule=rule)
+        report = run_algorithm1(full)
+        if rule == "either":
+            assert (report.iterations, report.stopped_by) == (2, "w2")
+        cfg = tiny_lq_config(tmp_path / "part", max_iters=3, stop_rule=rule)
         real, calls = getattr(runner, name), itertools.count(1)
 
         def crash_on_call(*args, **kwargs):
@@ -315,6 +328,16 @@ class TestCli:
         assert main(["solve", "--config", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["model"] == "lq"
+
+    def test_solve_out_with_percent(self, tmp_path, capsys):
+        cfg = tiny_lq_config(tmp_path / "unused")
+        path = tmp_path / "tiny.cfg"
+        path.write_text(cfg.to_ini())
+        out = tmp_path / "run%1"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["model"] == "lq"
+        copy = RunConfig.from_ini((out / "config.copy").read_text())
+        assert copy.out_dir == str(out)
 
     def test_validate_passes(self, capsys):
         assert main(["validate"]) == 0

@@ -164,6 +164,18 @@ class TestCsv:
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
 
+    def test_twelve_digit_times_match_reference(self, lq, tmp_path):
+        problem = lq[0]
+        steps = StepSizes(h1=0.2, h2=1 / 7, n_time=7)
+        m = np.full((steps.n_time + 1, 1), 0.5)
+        b = simulate_sde(problem, lambda t, x: np.cos(x), m, 3, steps,
+                         seed=5, share_common_noise=True)
+        paths_to_csv(b, tmp_path / "a.csv")
+        reference_paths_csv(b, tmp_path / "b.csv")
+        text = (tmp_path / "a.csv").read_text()
+        assert text == (tmp_path / "b.csv").read_text()
+        assert text.splitlines()[11].startswith("1,0.285714285714,")
+
     def test_header_and_rows(self, lq, tmp_path):
         problem, steps, m = lq
         b = simulate_sde(problem, zero_policy, m, 2, steps, seed=0,
