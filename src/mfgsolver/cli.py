@@ -3,13 +3,14 @@
 Subcommands: ``solve`` runs the full fixed-point loop from a config file;
 ``riccati`` tabulates the closed-form Riccati solution and its ODE
 cross-check; ``validate`` runs the built-in invariant suite; ``simulate``
-rolls out a saved policy checkpoint.  Exit codes: 0 success, 1 validation
-failure, 2 configuration error.
+rolls out a saved policy checkpoint under the law of the run that saved it.
+Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -149,21 +150,38 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    """Roll out a checkpoint under the problem and the population law of the
+    run that wrote it: ``config.copy`` and ``measures.csv`` beside it."""
     from .lattice import StepSizes
+    from .measures import mean_path
     from .network import forward, load_checkpoint
-    from .problems import LqParams, lq_problem, mfg2d_problem
+    from .runner import RunConfig, reindex_mean_path
     from .simulate import paths_to_csv, simulate_sde
 
+    run_dir = os.path.dirname(args.checkpoint)
     try:
         arch, theta = load_checkpoint(args.checkpoint)
-    except (FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"cannot load checkpoint: {exc}", file=sys.stderr)
+        with open(os.path.join(run_dir, "config.copy")) as fh:
+            config = RunConfig.from_ini(fh.read())
+        problem, steps_c, lat_c = config.build()[:3]
+        d = problem.dim
+        if (arch.state_dim, arch.control_dim) != (d, problem.control_dim):
+            raise ConfigError(
+                f"checkpoint state/control dimension {arch.state_dim}/"
+                f"{arch.control_dim}, config.copy {d}/{problem.control_dim}")
+        table = np.loadtxt(os.path.join(run_dir, "measures.csv"),
+                           delimiter=",", skiprows=1, ndmin=2)
+        if table.shape[1] != d + 3:
+            raise ValueError(f"measures.csv has {table.shape[1]} columns")
+        n = int(table[:, 1].max()) + 1
+        # the atoms are coarse lattice nodes printed to 12 digits: snap back
+        atoms = lat_c.points[lat_c.indices_of(table[:, 2:2 + d])]
+        m_bar = atoms.reshape(steps_c.n_time + 1, n, d)
+        steps = StepSizes.for_horizon(problem.horizon, steps_c.h1, args.h2)
+    except (OSError, KeyError, ValueError, SolverError) as exc:
+        print(f"cannot simulate {args.checkpoint}: {exc}", file=sys.stderr)
         return 2
-    problem = lq_problem(LqParams()) if arch.state_dim == 1 \
-        else mfg2d_problem()
-    steps = StepSizes.for_horizon(problem.horizon, 0.2, args.h2)
-    mbar_path = np.tile(0.5 * (problem.domain_lower + problem.domain_upper),
-                        (steps.n_time + 1, 1))
+    mbar_path = reindex_mean_path(mean_path(m_bar), steps_c, steps)
 
     def policy(t, x):
         return forward(arch, theta, np.full(x.shape[0], t), x)

@@ -195,7 +195,7 @@ def stencil_probabilities(problem, lattice: Lattice, steps: StepSizes,
     others = np.sum(probs[..., 1:], axis=-1)
     probs[..., 0] = 1.0 - others
     low = probs.min()
-    if low < _NEG_TOL:
+    if not low >= _NEG_TOL:  # a NaN fails this test too
         raise NegativeProbability(
             f"stepsizes infeasible: probability {low:.3e} at t={t}")
     return probs
@@ -211,15 +211,20 @@ def chain_step(lattice: Lattice, probs: np.ndarray, nodes: np.ndarray, rng,
     chain of the last axis and shared by all rows.  Returns the new nodes.
     Each move is ``argmax(cum > u)``: the count of columns ``<= u`` of the
     running maximum of ``cum`` (-1e-12 entries make it dip), 0 if all are.
+    Columns after the last one with mass in any row repeat its cumulative
+    value, so they change no count and are left out.
     """
-    cum = np.maximum.accumulate(np.cumsum(probs, axis=-1), axis=-1)
-    n_off = cum.shape[-1]
+    n_off = probs.shape[-1]
+    mass = probs.reshape(-1, n_off).any(axis=0)
+    n_used = n_off - int(np.argmax(mass[::-1]))
+    cum = np.maximum.accumulate(np.cumsum(probs[..., :n_used], axis=-1),
+                                axis=-1)
     flat = nodes if rows is None else nodes * probs.shape[1] + rows
     u = rng.uniform(size=nodes.shape[-1])
     offset = np.zeros(nodes.shape, dtype=np.intp)
-    for col in cum.reshape(-1, n_off).T.copy():
+    for col in cum.reshape(-1, n_used).T.copy():
         offset += np.take(col, flat) <= u
-    offset[offset == n_off] = 0
+    offset[offset == n_used] = 0
     return np.take(lattice.neighbor_indices().ravel(), nodes * n_off + offset)
 
 

@@ -85,7 +85,10 @@ def wasserstein2(a: np.ndarray, b: np.ndarray, n_atoms: int = 256) -> float:
         sa = np.sort(a[:, 0])
         sb = np.sort(b[:, 0])
         return float(np.sqrt(np.mean((sa - sb) ** 2)))
-    cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+    # summed one axis at a time: no (n, n, d) temporary, the same additions
+    cost = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for i in range(1, a.shape[1]):
+        cost += (a[:, None, i] - b[None, :, i]) ** 2
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 

@@ -107,12 +107,9 @@ def _normalize_inputs(arch: NetworkArchitecture, t, x) -> np.ndarray:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument only, so it cannot overflow
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _forward_cached(arch: NetworkArchitecture, theta: np.ndarray,

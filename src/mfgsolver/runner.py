@@ -3,20 +3,26 @@
 Each global iteration: dynamic programming on the coarse lattice under the
 current averaged law, chain simulation of the induced law, 1/k averaging,
 least-squares fit of the network to the grid policy, stochastic-approximation
-refinement, then value sweeps on the coarse and fine lattices under the
-network control.  Stops on the Wasserstein gap, the value change, or both,
-per the configured rule.
+refinement, then a value sweep on the fine lattice under the network control.
+Stops on the Wasserstein gap, the value change, or both, per the configured
+rule.  The coarse value table feeds only ``value_coarse.csv``, so it is swept
+once, after the loop.
 
 All randomness is derived from (seed, fixed tag) substreams that do not
 depend on the iteration counter.  Near the fixed point every stage becomes
 piecewise constant in the averaged law, so the loop can land exactly on a
 stationary point and the value change drops to zero instead of hovering at
-the Monte-Carlo noise floor.
+the Monte-Carlo noise floor.  Once the W2 stop fires the law is frozen, so
+the iteration after the first frozen one repeats it bit for bit: it reuses
+that result and still writes its own trace rows and checkpoint (a resumed run
+recomputes it).  ``timing.txt`` holds the wall seconds, the count of reused
+iterations and the seconds spent per stage.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import io
 import itertools
 import json
@@ -266,6 +272,16 @@ def _check_stepsizes(problem, grids, controls) -> None:
                     f"h1={steps.h1}, h2={steps.h2}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _timed(totals: dict, stage: str):
+    """Add the wall seconds spent in the block to ``totals[stage]``."""
+    t0 = time.monotonic()
+    try:
+        yield
+    finally:
+        totals[stage] += time.monotonic() - t0
+
+
 def _truncate_trace(path: str, k: int) -> list:
     """Keep and return the rows of iterations up to ``k``, the last committed
     one: a run that stopped before committing its state left later rows."""
@@ -277,9 +293,10 @@ def _truncate_trace(path: str, k: int) -> list:
     return rows
 
 
-def _fine_mean_path(mbar_path: np.ndarray, steps_c: StepSizes,
-                    steps_f: StepSizes) -> np.ndarray:
-    """Reindex a coarse-time mean path onto the fine time grid."""
+def reindex_mean_path(mbar_path: np.ndarray, steps_c: StepSizes,
+                      steps_f: StepSizes) -> np.ndarray:
+    """Reindex a mean path from the time grid of ``steps_c`` onto that of
+    ``steps_f``, taking the nearest time."""
     idx = np.minimum(
         np.rint(np.arange(steps_f.n_time + 1) * steps_f.h2 / steps_c.h2)
         .astype(int), steps_c.n_time)
@@ -367,8 +384,65 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     trace_sa = open(os.path.join(out, "trace_sa.jsonl"), trace_mode)
 
     k = k_start - 1
-    u_net = None
     rule = config.stop_rule
+    stage_s = dict.fromkeys(("dp", "measure", "gap", "fit", "sa", "fine_sweep",
+                             "checkpoint", "artifacts"), 0.0)
+    replay, replayed = None, 0
+
+    def iterate(k, measure_frozen):
+        """Steps 1-6 of iteration ``k``: (fit loss, SA rows, theta, v_k)."""
+        nonlocal m_bar, mbar_path, gap, m_induced_prev
+        # Step 1: grid policy under the frozen averaged law
+        with _timed(stage_s, "dp"):
+            _, field_k = dp_backward_sweep(problem, lat_c, steps_c, mbar_path,
+                                           controls)
+        # once the measure fixed point is reached the law stays frozen, and
+        # the remaining iterations refine the policy and value only
+        if not measure_frozen:
+            with _timed(stage_s, "measure"):
+                # Step 2: induced law of the controlled chain
+                m_new = induced_measure(problem, lat_c, steps_c, field_k,
+                                        mbar_path, config.n_particles,
+                                        induce_seed)
+                # Step 3: damped averaging, resampled to a fixed atom count
+                cloud, weights = average_update(m_bar, m_new, k)
+                m_bar = np.take(cloud, systematic_resample(
+                    weights, config.n_particles), axis=1)
+                mbar_path = mean_path(m_bar)
+            with _timed(stage_s, "gap"):
+                gap = (fixed_point_gap(m_new, m_induced_prev)
+                       if m_induced_prev is not None else np.inf)
+            m_induced_prev = m_new
+        # Step 4: network fit to the grid policy (fixed init)
+        with _timed(stage_s, "fit"):
+            theta0, fit_loss = fit_to_grid(
+                arch, theta_init, field_k, lat_c, steps_c,
+                trigger=config.fit_trigger, max_steps=config.fit_max_steps,
+                m_bound=config.m_bound)
+        # Step 5: stochastic-approximation refinement
+        with _timed(stage_s, "sa"):
+            region = ProjectionRegion.around_anchor(
+                arch, theta0, lat_c, steps_c,
+                band=config.control_band, m_bound=config.m_bound)
+            sa_trace: list = []
+
+            def evaluator(thetas, eval_seed, _m=mbar_path):
+                return improvement(problem, lat_c, steps_c, _m, arch,
+                                   thetas, config.n_mc, eval_seed)
+
+            theta = train(theta0, schedule, region, evaluator, sa_seed,
+                          trace=sa_trace)
+
+        def net_control(t, points):
+            return forward(arch, theta, np.full(points.shape[0], t), points)
+
+        # Step 6: value sweep on the fine lattice under the network control
+        with _timed(stage_s, "fine_sweep"):
+            v_k = policy_value_sweep(
+                problem, lat_f, steps_f,
+                reindex_mean_path(mbar_path, steps_c, steps_f), net_control)
+        return fit_loss, sa_trace, theta, v_k
+
     try:
         while True:
             hit = {"w2": w2_hit, "value": value_hit,
@@ -377,67 +451,25 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
             if hit[rule] or k >= config.max_iters:
                 break
             k += 1
-            measure_frozen = first_w2 is not None
-            try:
-                # Step 1: grid policy under the frozen averaged law
-                u_coarse, field_k = dp_backward_sweep(
-                    problem, lat_c, steps_c, mbar_path, controls)
-                if not measure_frozen:
-                    # Step 2: induced law of the controlled chain
-                    m_new = induced_measure(problem, lat_c, steps_c, field_k,
-                                            mbar_path, config.n_particles,
-                                            induce_seed)
-                    gap = (fixed_point_gap(m_new, m_induced_prev)
-                           if m_induced_prev is not None else np.inf)
-                    m_induced_prev = m_new
-                    # Step 3: damped averaging, resampled to a fixed atom count
-                    cloud, weights = average_update(m_bar, m_new, k)
-                    m_bar = np.take(cloud, systematic_resample(
-                        weights, config.n_particles), axis=1)
-                    mbar_path = mean_path(m_bar)
-                else:
-                    # measure fixed point reached: keep the law frozen so the
-                    # remaining iterations refine the policy and value only
-                    m_new = m_induced_prev
-                # Step 4: network fit to the grid policy (fixed init)
-                theta0, fit_final_loss = fit_to_grid(
-                    arch, theta_init, field_k, lat_c, steps_c,
-                    trigger=config.fit_trigger,
-                    max_steps=config.fit_max_steps,
-                    m_bound=config.m_bound)
-                # Step 5: stochastic-approximation refinement
-                region = ProjectionRegion.around_anchor(
-                    arch, theta0, lat_c, steps_c,
-                    band=config.control_band, m_bound=config.m_bound)
-                sa_trace: list = []
-
-                def evaluator(thetas, eval_seed, _m=mbar_path):
-                    return improvement(problem, lat_c, steps_c, _m, arch,
-                                       thetas, config.n_mc, eval_seed)
-
-                theta = train(theta0, schedule, region, evaluator, sa_seed,
-                              trace=sa_trace)
-                for entry in sa_trace:
-                    entry["k"] = k
-                    trace_sa.write(json.dumps(entry) + "\n")
-                if sa_trace:
-                    best_g = max(best_g, max(e["G"] for e in sa_trace))
-
-                def net_control(t, points, _th=theta):
-                    return forward(arch, _th, np.full(points.shape[0], t),
-                                   points)
-
-                # Steps 6-7: value sweeps under the network control
-                u_net = policy_value_sweep(problem, lat_c, steps_c, mbar_path,
-                                           net_control)
-                mbar_fine = _fine_mean_path(mbar_path, steps_c, steps_f)
-                v_k = policy_value_sweep(problem, lat_f, steps_f, mbar_fine,
-                                         net_control)
-                # Step 8: squared value change on the fine lattice
-                value_change = float(np.sum((v_k - v_prev) ** 2))
-                v_prev = v_k
-            except SolverError as exc:
-                raise type(exc)(f"iteration {k}: {exc}") from exc
+            frozen = first_w2 is not None
+            if replay is None:
+                try:
+                    result = iterate(k, frozen)
+                except SolverError as exc:
+                    raise type(exc)(f"iteration {k}: {exc}") from exc
+                # a frozen iteration depends only on the frozen law and fixed
+                # seeds, so the next one would repeat it bit for bit
+                replay = result if frozen else None
+            else:
+                result, replayed = replay, replayed + 1
+            fit_final_loss, sa_trace, theta, v_k = result
+            for entry in sa_trace:
+                trace_sa.write(json.dumps({**entry, "k": k}) + "\n")
+            if sa_trace:
+                best_g = max(best_g, max(e["G"] for e in sa_trace))
+            # Step 7: squared value change on the fine lattice
+            value_change = float(np.sum((v_k - v_prev) ** 2))
+            v_prev = v_k
 
             w2_hit = gap < threshold
             value_hit = value_change < config.iter_trigger
@@ -453,17 +485,19 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
             trace_fp.flush()
             trace_sa.flush()
 
-            save_checkpoint(os.path.join(out, f"theta_checkpoint_k{k}.csv"),
-                            arch, theta)
-            # write then rename, so a crash never leaves a torn state file
-            with open(resume_file + ".tmp", "wb") as fh:
-                np.savez(fh, k=k, m_bar=m_bar, m_induced=m_new, v_fine=v_prev,
-                         theta=theta,
-                         first_w2=-1 if first_w2 is None else first_w2,
-                         first_value=-1 if first_value is None
-                         else first_value,
-                         best_g=best_g)
-            os.replace(resume_file + ".tmp", resume_file)
+            with _timed(stage_s, "checkpoint"):
+                save_checkpoint(
+                    os.path.join(out, f"theta_checkpoint_k{k}.csv"), arch,
+                    theta)
+                # write then rename, so a crash never leaves a torn state file
+                with open(resume_file + ".tmp", "wb") as fh:
+                    np.savez(fh, k=k, m_bar=m_bar, m_induced=m_induced_prev,
+                             v_fine=v_prev, theta=theta,
+                             first_w2=-1 if first_w2 is None else first_w2,
+                             first_value=-1 if first_value is None
+                             else first_value,
+                             best_g=best_g)
+                os.replace(resume_file + ".tmp", resume_file)
     finally:
         trace_fp.close()
         trace_sa.close()
@@ -473,11 +507,9 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     def policy(t, x):
         return forward(arch, theta, np.full(x.shape[0], t), x)
 
-    if u_net is None:
-        # resumed past the stopping point: rebuild the sweeps for artifacts
-        u_net = policy_value_sweep(problem, lat_c, steps_c, mbar_path, policy)
-
-    # final artifacts
+    t_artifacts = time.monotonic()
+    # final artifacts; the coarse value table feeds only value_coarse.csv
+    u_net = policy_value_sweep(problem, lat_c, steps_c, mbar_path, policy)
     value_table_to_csv(os.path.join(out, "value_coarse.csv"), lat_c, steps_c,
                        u_net)
     value_table_to_csv(os.path.join(out, "value_fine.csv"), lat_f, steps_f,
@@ -504,9 +536,13 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         sa_best_g=best_g if np.isfinite(best_g) else -1.0)
     with open(os.path.join(out, "report.json"), "w") as fh:
         fh.write(report.to_json())
+    stage_s["artifacts"] = time.monotonic() - t_artifacts
     # wall time lives outside report.json so reruns stay byte-identical
     with open(os.path.join(out, "timing.txt"), "w") as fh:
-        fh.write(f"wall_seconds={time.monotonic() - t_start:.3f}\n")
+        fh.write(f"wall_seconds={time.monotonic() - t_start:.3f}\n"
+                 f"replayed={replayed}\n")
+        fh.writelines(f"{stage}_seconds={secs:.3f}\n"
+                      for stage, secs in stage_s.items())
     return report
 
 

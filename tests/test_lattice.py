@@ -120,6 +120,19 @@ class TestTransitionRow:
         assert sum(p for _, p in row.targets) == pytest.approx(1.0, abs=1e-12)
         assert len(row.targets) < 9
 
+    @pytest.mark.parametrize("model,alpha", [
+        ("lq", [np.nan]), ("m2d", [np.nan, np.nan]), ("m2d", [np.nan, 0.5]),
+        ("m2d", [0.5, np.nan])],
+        ids=["lq-nan", "m2d-nan-nan", "m2d-nan-0.5", "m2d-0.5-nan"])
+    def test_nan_control_rejected(self, request, model, alpha):
+        # NaN stencil entries fail every comparison, so they need their own
+        # check; -1e-12 tolerance checks alone let them through
+        problem, steps, lat = request.getfixturevalue(model)
+        m = np.full(problem.dim, 0.5)
+        with pytest.raises(NegativeProbability, match="nan"):
+            transition_row(problem, lat, steps, 0.0, lat.n_nodes // 2, m,
+                           np.array(alpha))
+
     @settings(max_examples=40, deadline=None)
     @given(xi=st.integers(1, 34), a1=st.floats(0.0, 1.5), a2=st.floats(0.0, 1.5),
            mx=st.floats(0.0, 1.0), my=st.floats(0.0, 1.0),
@@ -331,6 +344,35 @@ class TestChainStepOracle:
         expected = reference_chain_step(neighbors, probs, nodes, u, rows)
         assert np.array_equal(got, expected)
         assert got.shape == nodes.shape
+
+    ZERO_COLUMNS = {
+        "last1-all-rows": (slice(None), slice(8, 9), 0.0),
+        "last4-all-rows": (slice(None), slice(5, 9), 0.0),
+        "last4-some-rows": (slice(0, None, 2), slice(5, 9), 0.0),
+        "middle-all-rows": (slice(None), slice(3, 7), 0.0),
+        "last4-negative-zero": (slice(None), slice(5, 9), -0.0),
+    }
+
+    @pytest.mark.parametrize("pattern", sorted(ZERO_COLUMNS))
+    @pytest.mark.parametrize("n_rows", [1, 4])
+    def test_zero_columns_equal_argmax_reference(self, pattern, n_rows):
+        """Trailing columns without mass in any row may be skipped; zero
+        columns before a column with mass, or zero in only some rows, may
+        not."""
+        rng = np.random.default_rng(len(pattern) * 10 + n_rows)
+        n_nodes, n_chains = 7, 400
+        neighbors = rng.integers(n_nodes, size=(n_nodes, 9))
+        probs = tricky_table(rng, n_nodes, n_rows, 9)
+        nodes_sel, cols, zero = self.ZERO_COLUMNS[pattern]
+        probs[nodes_sel, :, cols] = zero
+        probs[..., 0] += 1.0 - probs.sum(axis=-1)
+        rows = np.arange(n_rows)[:, None]
+        nodes = rng.integers(n_nodes, size=(n_rows, n_chains))
+        u = tricky_uniforms(rng, np.cumsum(probs, axis=-1), nodes, rows)
+        got = chain_step(FixedStencil(neighbors), probs, nodes,
+                         FixedUniforms(u), rows)
+        assert np.array_equal(got, reference_chain_step(neighbors, probs,
+                                                        nodes, u, rows))
 
     def test_no_column_exceeding_u_takes_offset_zero(self):
         neighbors = np.array([[5, 6, 7], [8, 9, 10]])

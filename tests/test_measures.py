@@ -170,6 +170,26 @@ class TestWasserstein:
         assert dac <= dab + dbc + 1e-9
         assert dab >= 0.0
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [40, 256])
+    def test_cost_matrix_equals_summed_form(self, monkeypatch, d, n):
+        import mfgsolver.measures as measures
+
+        seen = []
+
+        def recording_assignment(cost):
+            seen.append(cost.copy())
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(measures, "linear_sum_assignment",
+                            recording_assignment)
+        rng = np.random.default_rng(10 * d + n)
+        a = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 7.0], size=d)
+        b = np.round(rng.uniform(-1, 2, size=(n, d)), 1)
+        wasserstein2(a, b)
+        assert np.array_equal(
+            seen[0], np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
+
     def test_translation_shift(self):
         pts = np.random.default_rng(2).normal(size=(6, 1))
         assert wasserstein2(pts, pts + 3.0) == pytest.approx(3.0, abs=1e-12)

@@ -52,6 +52,30 @@ class TestForward:
         assert out.shape == (3, 4, 2)
 
 
+def masked_sigmoid(z):
+    """The two-branch form: exp of -z where z >= 0, of z elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_equals_masked_form_without_overflow(self):
+        from mfgsolver.network import _sigmoid
+
+        edges = np.array([0.0, 709.8, 745.2, 800.0, np.inf])
+        edges = np.concatenate([edges, -edges, [np.nan]])
+        rng = np.random.default_rng(3)
+        for z in (edges[:, None], rng.normal(scale=30.0, size=(5, 40)),
+                  rng.normal(size=(2, 3, 4))):
+            with np.errstate(over="raise"):
+                got = _sigmoid(z)
+            assert np.array_equal(got, masked_sigmoid(z), equal_nan=True)
+
+
 class TestGradient:
     def test_matches_finite_differences(self, arch):
         rng = np.random.default_rng(0)

@@ -1,17 +1,24 @@
+import collections
 import configparser
 import dataclasses
 import io
 import itertools
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 import mfgsolver.runner as runner
+import mfgsolver.simulate
 from mfgsolver.cli import main
 from mfgsolver.errors import ConfigError
+from mfgsolver.lattice import StepSizes
+from mfgsolver.measures import mean_path
+from mfgsolver.network import forward, load_checkpoint
 from mfgsolver.runner import CONFIG_SCHEMA, RunConfig, run_algorithm1
+from mfgsolver.simulate import paths_to_csv, simulate_sde
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -180,25 +187,41 @@ class TestRunner:
         with np.load(os.path.join(cfg.out_dir, "resume_state.npz")) as blob:
             assert int(blob["k"]) == report.iterations
 
-    CRASHES = [("dp_backward_sweep", 2, "value"), ("fit_to_grid", 2, "value"),
-               ("train", 2, "value"), ("policy_value_sweep", 3, "value"),
-               ("policy_value_sweep", 4, "value"),
-               ("save_checkpoint", 2, "value"), ("train", 3, "value"),
+    # (runner name, failing call, stop rule, max_iters); with max_iters = 3
+    # policy_value_sweep call 3 is iteration 3's fine sweep and call 4 the
+    # coarse sweep after the loop
+    CRASHES = [("dp_backward_sweep", 2, "value", 3),
+               ("fit_to_grid", 2, "value", 3), ("train", 2, "value", 3),
+               ("policy_value_sweep", 3, "value", 3),
+               ("policy_value_sweep", 4, "value", 3),
+               ("save_checkpoint", 2, "value", 3), ("train", 3, "value", 3),
                # stops by W2 at k=2 of 3, then fails on the first artifact
-               ("value_table_to_csv", 1, "either")]
+               ("value_table_to_csv", 1, "either", 3),
+               # stops at k=4 by reusing k=3: fail in the reused iteration's
+               # checkpoint, and in the coarse sweep after the loop
+               ("save_checkpoint", 4, "both", 4),
+               ("policy_value_sweep", 4, "both", 4)]
 
-    @pytest.mark.parametrize("name,call,rule", CRASHES,
-                             ids=[f"{n}-{c}" for n, c, _ in CRASHES])
+    @pytest.mark.parametrize(
+        "name,call,rule,iters", CRASHES,
+        ids=[f"{n}-{c}" + ("-replay" if i == 4 else "")
+             for n, c, _, i in CRASHES])
     def test_crash_then_resume_is_byte_identical(self, tmp_path, monkeypatch,
-                                                 name, call, rule):
-        """A run stopped by a failure at a stage boundary of iteration 2 or
-        3, or while writing the artifacts after its stop rule fired, and then
-        resumed leaves the same files as an uninterrupted run."""
-        full = tiny_lq_config(tmp_path / "full", max_iters=3, stop_rule=rule)
+                                                 name, call, rule, iters):
+        """A run stopped by a failure at a stage boundary of iteration 2, 3
+        or 4, or while writing the artifacts after its stop rule fired, and
+        then resumed leaves the same files as an uninterrupted run."""
+        full = tiny_lq_config(tmp_path / "full", max_iters=iters,
+                              stop_rule=rule)
         report = run_algorithm1(full)
         if rule == "either":
             assert (report.iterations, report.stopped_by) == (2, "w2")
-        cfg = tiny_lq_config(tmp_path / "part", max_iters=3, stop_rule=rule)
+        if iters == 4:
+            assert (report.iterations, report.first_w2_iter) == (4, 2)
+            assert "replayed=1\n" in (tmp_path / "full" / "timing.txt"
+                                       ).read_text()
+        cfg = tiny_lq_config(tmp_path / "part", max_iters=iters,
+                             stop_rule=rule)
         real, calls = getattr(runner, name), itertools.count(1)
 
         def crash_on_call(*args, **kwargs):
@@ -220,6 +243,48 @@ class TestRunner:
                 a = a.replace(b"full", b"part")
             if fname != "timing.txt":
                 assert a == b, fname
+
+    @pytest.mark.parametrize("rule", ["value", "both"])
+    def test_iteration_after_the_first_frozen_one_is_reused(
+            self, tmp_path, monkeypatch, rule):
+        """The law freezes at the W2 hit (k=2); k=4 repeats k=3 and reuses
+        its result: no DP, fit, SA or fine sweep runs for it."""
+        calls = collections.Counter()
+        for name in ("dp_backward_sweep", "fit_to_grid", "train",
+                     "policy_value_sweep"):
+            def counted(*args, _name=name, _real=getattr(runner, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(runner, name, counted)
+        cfg = tiny_lq_config(tmp_path, max_iters=4, stop_rule=rule)
+        report = run_algorithm1(cfg)
+        assert (report.iterations, report.first_w2_iter,
+                report.first_value_iter, report.stopped_by) == (4, 2, 4, rule)
+        assert report.value_change == 0.0
+        # three fine sweeps in the loop, one coarse sweep after it
+        assert calls == {"dp_backward_sweep": 3, "fit_to_grid": 3,
+                         "train": 3, "policy_value_sweep": 4}
+        timing = dict(line.split("=") for line in
+                      (tmp_path / "timing.txt").read_text().splitlines())
+        assert timing.pop("replayed") == "1"
+        assert sorted(timing) == sorted(
+            f"{stage}_seconds" for stage in (
+                "wall", "dp", "measure", "gap", "fit", "sa", "fine_sweep",
+                "checkpoint", "artifacts"))
+        assert all(float(v) >= 0.0 for v in timing.values())
+        rows = [json.loads(line) for line in
+                (tmp_path / "trace_sa.jsonl").read_text().splitlines()]
+        by_k = {k: [{**r, "k": None} for r in rows if r["k"] == k]
+                for k in (3, 4)}
+        assert by_k[3] and by_k[3] == by_k[4]
+        assert (tmp_path / "theta_checkpoint_k3.csv").read_bytes() == \
+            (tmp_path / "theta_checkpoint_k4.csv").read_bytes()
+
+    def test_no_reuse_before_the_law_freezes(self, tmp_path):
+        cfg = tiny_lq_config(tmp_path, max_iters=4, stop_rule="either")
+        assert run_algorithm1(cfg).iterations == 2
+        assert "replayed=0\n" in (tmp_path / "timing.txt").read_text()
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         full_cfg = tiny_lq_config(tmp_path / "full", max_iters=4,
@@ -352,6 +417,61 @@ class TestCli:
                      "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("path_id,t,x1")
+
+    def test_simulate_uses_the_run_that_wrote_the_checkpoint(
+            self, tmp_path, monkeypatch):
+        # h1 = 0.2: most nodes print inexactly, so measures.csv alone does
+        # not give the law's atoms back bit for bit
+        cfg = tiny_lq_config(tmp_path / "out", model_params={"sigma": 0.3},
+                             h1_coarse=0.2, h2_coarse=0.02)
+        run_algorithm1(cfg)
+        ckpt = os.path.join(cfg.out_dir, "theta_final.csv")
+        out = tmp_path / "sim.csv"
+        seen = []
+
+        def recording_sde(problem, policy, mbar_path, *args, **kwargs):
+            seen.append(mbar_path)
+            return simulate_sde(problem, policy, mbar_path, *args, **kwargs)
+
+        monkeypatch.setattr(mfgsolver.simulate, "simulate_sde", recording_sde)
+        assert main(["simulate", "--checkpoint", ckpt, "--paths", "3",
+                     "--seed", "5", "--h2", "0.01", "--out", str(out)]) == 0
+        # the run's problem and law, the mean path reindexed to h2 = 0.01
+        problem = cfg.build_problem()
+        with np.load(os.path.join(cfg.out_dir, "resume_state.npz")) as blob:
+            mbar_path = mean_path(blob["m_bar"])[np.minimum(
+                np.rint(np.arange(101) * 0.01 / 0.02).astype(int), 50)]
+        assert np.array_equal(seen[0], mbar_path)
+        arch, theta = load_checkpoint(ckpt)
+        bundle = simulate_sde(
+            problem, lambda t, x: forward(arch, theta, np.full(len(x), t), x),
+            mbar_path, 3, StepSizes.for_horizon(1.0, 0.2, 0.01), 5,
+            share_common_noise=True)
+        paths_to_csv(bundle, tmp_path / "ref.csv")
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_simulate_without_config_copy_exit_2(self, tiny_run, tmp_path,
+                                                 capsys):
+        cfg, _ = tiny_run
+        run = shutil.copytree(cfg.out_dir, tmp_path / "run")
+        os.remove(run / "config.copy")
+        assert main(["simulate", "--checkpoint",
+                     str(run / "theta_final.csv"),
+                     "--out", str(tmp_path / "sim.csv")]) == 2
+        assert "config.copy" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
+
+    def test_simulate_config_of_other_dimension_exit_2(self, tiny_run,
+                                                       tmp_path, capsys):
+        cfg, _ = tiny_run
+        run = shutil.copytree(cfg.out_dir, tmp_path / "run")
+        (run / "config.copy").write_text(
+            tiny_lq_config(run, model="mfg2d").to_ini())
+        assert main(["simulate", "--checkpoint",
+                     str(run / "theta_final.csv"),
+                     "--out", str(tmp_path / "sim.csv")]) == 2
+        assert "dimension" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
 
     def test_simulate_missing_checkpoint_exit_2(self, tmp_path):
         assert main(["simulate", "--checkpoint",
