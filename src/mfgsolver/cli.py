@@ -2,7 +2,8 @@
 
 Subcommands: ``solve`` runs the full fixed-point loop from a config file;
 ``riccati`` tabulates the closed-form Riccati solution and its ODE
-cross-check; ``validate`` runs the built-in invariant suite; ``simulate``
+cross-check; ``validate`` runs the structural checks of ``checks`` (Riccati
+closed form, transition rows, network gradient, W2 axioms); ``simulate``
 rolls out a saved policy checkpoint under the law of the run that saved it.
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
@@ -23,18 +24,16 @@ def _cmd_solve(args) -> int:
 
     try:
         with open(args.config) as fh:
-            config = RunConfig.from_ini(fh.read())
+            text = fh.read()
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out_dir = args.out
     try:
+        config = RunConfig.from_ini(text)
+        if args.seed is not None:
+            config.seed = args.seed
+        if args.out is not None:
+            config.out_dir = args.out
         report = run_algorithm1(config, resume=args.resume)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -50,18 +49,14 @@ def _cmd_riccati(args) -> int:
     from .problems import LqParams, riccati_closed_form, riccati_ode_solve
 
     try:
+        kw = {}
         if args.params:
-            kw = {}
             with open(args.params) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    key, _, val = line.partition("=")
-                    kw[key.strip()] = float(val)
-            params = LqParams(**kw)
-        else:
-            params = LqParams()
+                for line in map(str.strip, fh):
+                    if line and not line.startswith("#"):
+                        key, _, val = line.partition("=")
+                        kw[key.strip()] = float(val)
+        params = LqParams(**kw)
     except (FileNotFoundError, ValueError, TypeError, SolverError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
@@ -76,74 +71,31 @@ def _cmd_riccati(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    """Fast structural self-checks: stencil consistency, Riccati agreement,
-    network gradient, measure metric axioms."""
-    from .lattice import StepSizes, build_lattice, transition_row, \
-        check_local_consistency
-    from .measures import wasserstein2
-    from .network import NetworkArchitecture, random_theta, fit_loss, \
-        grad_fit_loss_raw
-    from .problems import LqParams, lq_problem, mfg2d_problem, \
-        riccati_closed_form, riccati_ode_solve
+    """Fast structural self-checks, the ``checks`` the acceptance suite runs,
+    on small samples drawn from ``--seed``."""
+    from . import checks
+    from .lattice import StepSizes, build_lattice
+    from .network import NetworkArchitecture, random_theta
+    from .problems import LqParams, lq_problem, mfg2d_problem
     from .seeding import substream
 
-    failures = []
     rng = substream(args.seed, "validate")
-
-    params = LqParams()
-    times, eta_ode = riccati_ode_solve(params, 2000)
-    if np.max(np.abs(riccati_closed_form(params, times) - eta_ode)) > 1e-6:
-        failures.append("riccati closed form vs ODE")
-
-    for problem in (lq_problem(params), mfg2d_problem()):
+    results = [checks.riccati(LqParams(), 2000)]
+    for problem in (lq_problem(LqParams()), mfg2d_problem()):
         steps = StepSizes.for_horizon(problem.horizon, 0.2, 0.01)
-        lat = build_lattice(problem, steps)
-        interior = np.flatnonzero(lat.interior_mask())
-        for _ in range(20):
-            idx = int(rng.choice(interior))
-            al = rng.uniform(problem.control_lower, problem.control_upper)
-            mbar = rng.uniform(problem.domain_lower, problem.domain_upper)
-            t = float(rng.uniform(0.0, problem.horizon - steps.h2))
-            row = transition_row(problem, lat, steps, t, idx, mbar, al)
-            total = sum(p for _, p in row.targets)
-            if abs(total - 1.0) > 1e-12 or min(p for _, p in row.targets) < 0:
-                failures.append(f"{problem.name} row stochasticity")
-                break
-            if not check_local_consistency(row, problem, lat, steps, t, mbar,
-                                           al).passed:
-                failures.append(f"{problem.name} local consistency")
-                break
-
+        results.append(checks.interior_rows(
+            problem, build_lattice(problem, steps), steps, rng, 20))
     arch = NetworkArchitecture(2, 1, (6,), 1.0, (0., 0.), (1., 1.),
                                (0.,), (1.,))
-    theta = random_theta(arch, rng)
-    inputs = rng.uniform(-1, 1, (5, 3))
-    targets = rng.uniform(0, 1, (5, 1))
-    _, g = grad_fit_loss_raw(arch, theta, inputs, targets)
-    h = 1e-6
-    for j in rng.choice(arch.n_params, 5, replace=False):
-        e = np.zeros(arch.n_params)
-        e[j] = h
-        fd = (fit_loss(arch, theta + e, inputs, targets)
-              - fit_loss(arch, theta - e, inputs, targets)) / (2 * h)
-        if abs(fd - g[j]) > 1e-5 * (abs(fd) + 1.0):
-            failures.append("network gradient")
-            break
-
-    for _ in range(20):
-        pts = [rng.normal(size=(4, 2)) for _ in range(3)]
-        dab = wasserstein2(pts[0], pts[1])
-        dbc = wasserstein2(pts[1], pts[2])
-        dac = wasserstein2(pts[0], pts[2])
-        if dac > dab + dbc + 1e-9 or abs(dab - wasserstein2(pts[1], pts[0])) > 1e-12:
-            failures.append("wasserstein metric axioms")
-            break
-    if wasserstein2(pts[0], pts[0]) > 1e-12:
-        failures.append("wasserstein identity")
-
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
+    # arguments are drawn left to right: theta, inputs, targets, coordinates
+    results += [checks.network_gradient(
+        arch, random_theta(arch, rng), rng.uniform(-1, 1, (5, 3)),
+        rng.uniform(0, 1, (5, 1)), rng.choice(arch.n_params, 5, False)),
+        checks.wasserstein_axioms(rng, 20)]
+    failed = [r for r in results if not r.passed]
+    for r in failed:
+        print(f"FAIL: {r.name} (worst {r.worst:.3e})", file=sys.stderr)
+    if failed:
         return 1
     print("all validation checks passed")
     return 0
@@ -154,7 +106,7 @@ def _cmd_simulate(args) -> int:
     run that wrote it: ``config.copy`` and ``measures.csv`` beside it."""
     from .lattice import StepSizes
     from .measures import mean_path
-    from .network import forward, load_checkpoint
+    from .network import feedback, load_checkpoint
     from .runner import RunConfig, reindex_mean_path
     from .simulate import paths_to_csv, simulate_sde
 
@@ -182,12 +134,8 @@ def _cmd_simulate(args) -> int:
         print(f"cannot simulate {args.checkpoint}: {exc}", file=sys.stderr)
         return 2
     mbar_path = reindex_mean_path(mean_path(m_bar), steps_c, steps)
-
-    def policy(t, x):
-        return forward(arch, theta, np.full(x.shape[0], t), x)
-
-    bundle = simulate_sde(problem, policy, mbar_path, args.paths, steps,
-                          args.seed,
+    bundle = simulate_sde(problem, feedback(arch, theta), mbar_path,
+                          args.paths, steps, args.seed,
                           share_common_noise=problem.has_common_noise)
     paths_to_csv(bundle, args.out)
     print(f"wrote {args.paths} paths to {args.out}")

@@ -1,5 +1,9 @@
 """State/time lattice, locally consistent transition probabilities, and the
-backward dynamic-programming sweep with grid-search control.
+two halves of the Markov chain approximation, each written once: the chain
+loop (``run_chain``, around the ``chain_step`` kernel) and the backward
+recursion, which ``dp_backward_sweep`` runs with a min over the control grid
+and ``policy_value_sweep`` with one control per node.  The row-level
+structural checks live in ``checks``.
 
 Transition stencil: each node talks to itself, its axis neighbours
 x +- h1*e_i, and (in d >= 2) the diagonal neighbours x +- h1*e_i +- h1*e_j.
@@ -27,7 +31,6 @@ from .errors import (
     NonDivisibleDomain,
 )
 
-_SUM_TOL = 1e-12
 _NEG_TOL = -1e-12
 
 
@@ -95,10 +98,7 @@ class Lattice:
 
     def index_of(self, point: np.ndarray) -> int:
         """Flat index of the nearest lattice node (snap-to-grid)."""
-        multi = np.clip(
-            np.rint((np.asarray(point) - self.lower) / self.spacing).astype(int),
-            0, np.array(self.shape) - 1)
-        return int(np.ravel_multi_index(tuple(multi), self.shape))
+        return int(self.indices_of(np.atleast_2d(point))[0])
 
     def indices_of(self, points: np.ndarray) -> np.ndarray:
         multi = np.clip(
@@ -228,71 +228,26 @@ def chain_step(lattice: Lattice, probs: np.ndarray, nodes: np.ndarray, rng,
     return np.take(lattice.neighbor_indices().ravel(), nodes * n_off + offset)
 
 
-@dataclass
-class TransitionRow:
-    """One row of the chain's transition matrix, clamped targets merged."""
-
-    source: int
-    targets: list  # (flat index, probability) pairs
-
-
-def transition_row(problem, lattice: Lattice, steps: StepSizes, t: float,
-                   x_index: int, mbar: np.ndarray,
-                   alpha: np.ndarray) -> TransitionRow:
-    """Transition row from one node under one control."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (problem.control_dim,):
-        raise DimensionMismatch("alpha has wrong control dimension")
-    probs = stencil_probabilities(problem, lattice, steps, t, mbar,
-                                  np.broadcast_to(alpha, (lattice.n_nodes, 1, alpha.shape[0])))
-    row = probs[x_index, 0]
-    neigh = lattice.neighbor_indices()[x_index]
-    merged: dict[int, float] = {}
-    for idx, p in zip(neigh, row):
-        merged[int(idx)] = merged.get(int(idx), 0.0) + float(p)
-    return TransitionRow(source=x_index, targets=sorted(merged.items()))
-
-
-@dataclass
-class ConsistencyReport:
-    """Empirical one-step moments of a row against the diffusion's b, a."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    drift_target: np.ndarray
-    cov_target: np.ndarray
-    mean_ok: bool
-    cov_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.mean_ok and self.cov_ok
-
-
-def check_local_consistency(row: TransitionRow, problem, lattice: Lattice,
-                            steps: StepSizes, t: float, mbar: np.ndarray,
-                            alpha: np.ndarray) -> ConsistencyReport:
-    """Diagnostic: does the row match b*h2 / a*h2 at the stated tolerances?
-
-    Interior rows cancel the +- drift split exactly, so the mean is checked
-    to 1e-10; the covariance picks up an O(h1*h2) drift contribution and is
-    checked within 2(|b|+1)^2 * h1 * h2 elementwise.
-    """
-    x = lattice.node(row.source)
-    deltas = lattice.points[[i for i, _ in row.targets]] - x
-    p = np.array([pr for _, pr in row.targets])
-    mean = p @ deltas
-    second = np.einsum("n,ni,nj->ij", p, deltas, deltas)
-    cov = second - np.outer(mean, mean)
-    b = np.asarray(problem.drift(t, x, mbar, np.asarray(alpha, dtype=float)),
-                   dtype=float)
-    a = problem.diffusion_matrix(t)
-    drift_target = b * steps.h2
-    cov_target = a * steps.h2
-    c_bound = 2.0 * (np.linalg.norm(b) + 1.0) ** 2 * steps.h1 * steps.h2
-    mean_ok = bool(np.all(np.abs(mean - drift_target) <= 1e-10))
-    cov_ok = bool(np.all(np.abs(cov - cov_target) <= c_bound))
-    return ConsistencyReport(mean, cov, drift_target, cov_target, mean_ok, cov_ok)
+def run_chain(problem, lattice: Lattice, steps: StepSizes, controls,
+              mbar_path: np.ndarray, nodes: np.ndarray, rng, states,
+              applied=None) -> None:
+    """Run chains from the flat ``nodes`` (M,) by ``chain_step`` on ``rng``,
+    under a (n_time, n_nodes, k) grid field or a callable ``(t, points) ->
+    (n_nodes, k)``.  ``states`` (n_time+1, M, d) receives their points and
+    ``applied`` (n_time, M, k), if given, the control each chain applies."""
+    if len(mbar_path) != steps.n_time + 1:
+        raise DimensionMismatch("measure path length must be n_time + 1")
+    states[0] = lattice.points[nodes]
+    for n in range(steps.n_time):
+        t = n * steps.h2
+        layer = controls(t, lattice.points) if callable(controls) \
+            else controls[n]
+        probs = stencil_probabilities(problem, lattice, steps, t,
+                                      mbar_path[n], layer[:, None, :])[:, 0]
+        if applied is not None:
+            applied[n] = layer[nodes]
+        nodes = chain_step(lattice, probs, nodes, rng)
+        states[n + 1] = lattice.points[nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -307,64 +262,53 @@ def control_grid(problem, points_per_axis: int = 16) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
+def _backward(problem, lattice: Lattice, steps: StepSizes,
+              mbar_path: np.ndarray, control_layer, field=None) -> np.ndarray:
+    """The backward recursion of every sweep, v_n = min_c [E_c v_{n+1} +
+    f(., c) h2], over the (n_nodes, C, k) layer ``control_layer(t)``; the
+    first minimum wins and goes to ``field`` (n_time, n_nodes, k) if given.
+    Returns the (n_time+1, n_nodes) value table."""
+    if len(mbar_path) != steps.n_time + 1:
+        raise DimensionMismatch("measure path length must be n_time + 1")
+    neigh = lattice.neighbor_indices()
+    nodes = np.arange(lattice.n_nodes)
+    values = np.empty((steps.n_time + 1, lattice.n_nodes))
+    values[-1] = problem.terminal_cost(lattice.points, mbar_path[-1])
+    for n in range(steps.n_time - 1, -1, -1):
+        t = n * steps.h2
+        alphas = control_layer(t)
+        probs = stencil_probabilities(problem, lattice, steps, t,
+                                      mbar_path[n], alphas)
+        q = np.einsum("nco,no->nc", probs, values[n + 1][neigh])
+        q += problem.running_cost(t, lattice.points[:, None, :],
+                                  mbar_path[n], alphas) * steps.h2
+        values[n] = q.min(axis=1)
+        if field is not None:
+            field[n] = alphas[nodes, np.argmin(q, axis=1)]
+    return values
+
+
 def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
                       mbar_path: np.ndarray, controls: np.ndarray):
-    """Backward sweep minimizing cost over the control grid.
-
-    ``mbar_path`` holds the population mean at every time index, shape
-    (n_time+1, d).
-    Returns ``(values, control_field)`` where values has shape
-    (n_time+1, n_nodes) and control_field (n_time, n_nodes, k).  Ties in
-    the argmin resolve to the lexicographically smallest control (the grid
-    is enumerated lexicographically and argmin takes the first minimum).
-    """
+    """Backward sweep minimizing cost over the (C, k) control grid under the
+    (n_time+1, d) mean path ``mbar_path``.  Returns ``(values,
+    control_field)``, shapes (n_time+1, n_nodes) and (n_time, n_nodes, k).
+    Ties go to the lexicographically smallest control, the grid's first."""
     controls = np.asarray(controls, dtype=float)
     if controls.size == 0:
         raise EmptyControlGrid("control grid is empty")
-    if len(mbar_path) != steps.n_time + 1:
-        raise DimensionMismatch("measure path length must be n_time + 1")
-    n_nodes = lattice.n_nodes
-    k = controls.shape[1]
-    neigh = lattice.neighbor_indices()
-    values = np.empty((steps.n_time + 1, n_nodes))
-    field = np.empty((steps.n_time, n_nodes, k))
-    values[-1] = problem.terminal_cost(lattice.points, mbar_path[-1])
-    alphas = np.broadcast_to(controls[None, :, :], (n_nodes,) + controls.shape)
-    for n in range(steps.n_time - 1, -1, -1):
-        t = n * steps.h2
-        mbar = mbar_path[n]
-        probs = stencil_probabilities(problem, lattice, steps, t, mbar, alphas)
-        v_next = values[n + 1][neigh]                      # (N, n_off)
-        q = np.einsum("nco,no->nc", probs, v_next)
-        f = problem.running_cost(t, lattice.points[:, None, :], mbar, alphas)
-        q += f * steps.h2
-        best = np.argmin(q, axis=1)
-        values[n] = q[np.arange(n_nodes), best]
-        field[n] = controls[best]
-    return values, field
+    alphas = np.broadcast_to(controls, (lattice.n_nodes,) + controls.shape)
+    field = np.empty((steps.n_time, lattice.n_nodes, controls.shape[1]))
+    return _backward(problem, lattice, steps, mbar_path, lambda t: alphas,
+                     field), field
 
 
 def policy_value_sweep(problem, lattice: Lattice, steps: StepSizes,
                        mbar_path: np.ndarray, control_fn) -> np.ndarray:
-    """Backward policy evaluation under a fixed feedback control.
-
-    ``mbar_path`` is the (n_time+1, d) mean path; ``control_fn(t, points)``
-    returns the (n_nodes, k) control layer.
-    """
-    if len(mbar_path) != steps.n_time + 1:
-        raise DimensionMismatch("measure path length must be n_time + 1")
-    n_nodes = lattice.n_nodes
-    neigh = lattice.neighbor_indices()
-    values = np.empty((steps.n_time + 1, n_nodes))
-    values[-1] = problem.terminal_cost(lattice.points, mbar_path[-1])
-    for n in range(steps.n_time - 1, -1, -1):
-        t = n * steps.h2
-        mbar = mbar_path[n]
-        al = control_fn(t, lattice.points)[:, None, :]     # (N, 1, k)
-        probs = stencil_probabilities(problem, lattice, steps, t, mbar, al)[:, 0]
-        values[n] = (np.einsum("no,no->n", probs, values[n + 1][neigh])
-                     + problem.running_cost(t, lattice.points, mbar, al[:, 0]) * steps.h2)
-    return values
+    """Backward policy evaluation under the (n_time+1, d) mean path: the
+    recursion with the one control per node of ``control_fn(t, points)``."""
+    return _backward(problem, lattice, steps, mbar_path,
+                     lambda t: control_fn(t, lattice.points)[:, None, :])
 
 
 def validate_stepsizes(problem, lattice: Lattice, steps: StepSizes,
@@ -376,8 +320,7 @@ def validate_stepsizes(problem, lattice: Lattice, steps: StepSizes,
     Clipping would silently destroy local consistency, so infeasible
     configurations raise NegativeProbability up front.
     """
-    alphas = np.broadcast_to(controls[None, :, :],
-                             (lattice.n_nodes,) + controls.shape)
+    alphas = np.broadcast_to(controls, (lattice.n_nodes,) + controls.shape)
     for t in (0.0, steps.horizon - steps.h2):
         stencil_probabilities(problem, lattice, steps, t, mbar, alphas)
 

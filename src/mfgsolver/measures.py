@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import LengthMismatch
-from .lattice import csv_blocks
+from .lattice import csv_blocks, run_chain
 from .seeding import substream
 
 
@@ -114,31 +114,15 @@ def w2_stop_threshold(q: float, h1: float) -> float:
 
 def induced_measure(problem, lattice, steps, controls, mbar_path: np.ndarray,
                     n_particles: int, seed: int) -> np.ndarray:
-    """Particle path of the controlled chain under a frozen mean path.
-
-    ``controls`` is either a (n_time, n_nodes, k) grid control field or a
-    callable ``(t, points) -> (n_nodes, k)``.  Particles start from the
-    initial law snapped to the lattice.  Returns (n_time + 1, n_particles, d).
-    """
+    """Particle path (n_time + 1, n_particles, d) of the chain under
+    ``controls`` and a frozen mean path: ``lattice.run_chain`` on the
+    ``"induced"`` substream from the initial law snapped to the lattice."""
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
-    from .lattice import chain_step, stencil_probabilities
-
     rng = substream(seed, "induced")
-    x0 = problem.initial_sampler(rng, n_particles)
-    nodes = lattice.indices_of(x0)
+    nodes = lattice.indices_of(problem.initial_sampler(rng, n_particles))
     path = np.empty((steps.n_time + 1, n_particles, lattice.dims))
-    path[0] = lattice.points[nodes]
-    for n in range(steps.n_time):
-        t = n * steps.h2
-        if callable(controls):
-            layer = controls(t, lattice.points)
-        else:
-            layer = controls[n]
-        probs = stencil_probabilities(problem, lattice, steps, t,
-                                      mbar_path[n], layer[:, None, :])[:, 0]
-        nodes = chain_step(lattice, probs, nodes, rng)
-        path[n + 1] = lattice.points[nodes]
+    run_chain(problem, lattice, steps, controls, mbar_path, nodes, rng, path)
     return path
 
 

@@ -142,6 +142,11 @@ def forward(arch: NetworkArchitecture, theta: np.ndarray, t, x) -> np.ndarray:
     return out.reshape(theta.shape[:-1] + x.shape[:-1] + (arch.control_dim,))
 
 
+def feedback(arch: NetworkArchitecture, theta: np.ndarray):
+    """The feedback policy (t, x) -> control of a (n, d) batch at one t."""
+    return lambda t, x: forward(arch, theta, np.full(len(x), t), x)
+
+
 def fit_loss(arch: NetworkArchitecture, theta: np.ndarray,
              inputs: np.ndarray, targets: np.ndarray) -> float:
     out, _, _, _ = _forward_cached(arch, theta, inputs)

@@ -40,7 +40,7 @@ from .lattice import (StepSizes, build_lattice, control_grid,
 from .measures import (average_update, fixed_point_gap, induced_measure,
                        mean_path, measure_path_to_csv, systematic_resample,
                        w2_stop_threshold)
-from .network import (NetworkArchitecture, fit_to_grid, forward,
+from .network import (NetworkArchitecture, feedback, fit_to_grid, forward,
                       random_theta, save_checkpoint)
 from .problems import (LqParams, MfgProblem, lq_problem, mfg2d_problem,
                        riccati_closed_form)
@@ -310,12 +310,9 @@ def _initial_measure_path(problem, lattice, steps, config) -> np.ndarray:
     if config.initial_measure == "initial":
         return path
     mid = problem.control_midpoint()
-
-    def constant_control(t, points):
-        return np.broadcast_to(mid, (points.shape[0], mid.shape[0]))
-
-    return induced_measure(problem, lattice, steps, constant_control,
-                           mean_path(path), config.n_particles, config.seed)
+    field = np.broadcast_to(mid, (steps.n_time, lattice.n_nodes, len(mid)))
+    return induced_measure(problem, lattice, steps, field, mean_path(path),
+                           config.n_particles, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +430,12 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
             theta = train(theta0, schedule, region, evaluator, sa_seed,
                           trace=sa_trace)
 
-        def net_control(t, points):
-            return forward(arch, theta, np.full(points.shape[0], t), points)
-
         # Step 6: value sweep on the fine lattice under the network control
         with _timed(stage_s, "fine_sweep"):
             v_k = policy_value_sweep(
                 problem, lat_f, steps_f,
-                reindex_mean_path(mbar_path, steps_c, steps_f), net_control)
+                reindex_mean_path(mbar_path, steps_c, steps_f),
+                feedback(arch, theta))
         return fit_loss, sa_trace, theta, v_k
 
     try:
@@ -504,9 +499,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     stopped_by = "budget" if not hit[rule] else rule if rule != "either" \
         else "w2" if w2_hit else "value"
 
-    def policy(t, x):
-        return forward(arch, theta, np.full(x.shape[0], t), x)
-
+    policy = feedback(arch, theta)
     t_artifacts = time.monotonic()
     # final artifacts; the coarse value table feeds only value_coarse.csv
     u_net = policy_value_sweep(problem, lat_c, steps_c, mbar_path, policy)
@@ -514,10 +507,8 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                        u_net)
     value_table_to_csv(os.path.join(out, "value_fine.csv"), lat_f, steps_f,
                        v_prev)
-    fine_field = np.stack([
-        forward(arch, theta, np.full(lat_f.n_nodes, n * steps_f.h2),
-                lat_f.points)
-        for n in range(steps_f.n_time)])
+    fine_field = np.stack([policy(n * steps_f.h2, lat_f.points)
+                           for n in range(steps_f.n_time)])
     control_field_to_csv(os.path.join(out, "controls.csv"), lat_f, steps_f,
                          fine_field)
     measure_path_to_csv(m_bar, steps_c, os.path.join(out, "measures.csv"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch
-from .lattice import csv_blocks
+from .lattice import csv_blocks, run_chain
 from .seeding import substream
 
 
@@ -105,16 +105,9 @@ def simulate_sde(problem, policy, mbar_path, n_paths: int, steps, seed: int,
 
 def simulate_chain(problem, lattice, steps, controls, mbar_path,
                    n_paths: int, seed: int, x0=None) -> PathBundle:
-    """Paths of the locally consistent chain under a grid control field.
-
-    ``controls`` is a (n_time, n_nodes, k) array or a callable
-    ``(t, points) -> (n_nodes, k)``.  Starts from ``x0`` snapped to the
-    lattice, or from the initial law.
-    """
-    from .lattice import chain_step, stencil_probabilities
-
-    if len(mbar_path) != steps.n_time + 1:
-        raise DimensionMismatch("measure path length must be n_time + 1")
+    """Paths of the chain under ``controls``, with the controls applied:
+    ``lattice.run_chain`` on the ``"chain"`` substream from ``x0`` snapped
+    to the lattice, or from the initial law."""
     rng = substream(seed, "chain")
     if x0 is None:
         nodes = lattice.indices_of(problem.initial_sampler(rng, n_paths))
@@ -122,15 +115,8 @@ def simulate_chain(problem, lattice, steps, controls, mbar_path,
         nodes = np.full(n_paths, lattice.index_of(np.asarray(x0, dtype=float)))
     states = np.empty((n_paths, steps.n_time + 1, problem.dim))
     applied = np.empty((n_paths, steps.n_time, problem.control_dim))
-    states[:, 0] = lattice.points[nodes]
-    for n in range(steps.n_time):
-        t = n * steps.h2
-        layer = controls(t, lattice.points) if callable(controls) else controls[n]
-        probs = stencil_probabilities(problem, lattice, steps, t,
-                                      mbar_path[n], layer[:, None, :])[:, 0]
-        applied[:, n] = layer[nodes]
-        nodes = chain_step(lattice, probs, nodes, rng)
-        states[:, n + 1] = lattice.points[nodes]
+    run_chain(problem, lattice, steps, controls, mbar_path, nodes, rng,
+              states.transpose(1, 0, 2), applied.transpose(1, 0, 2))
     return PathBundle(times=steps.times(), states=states, controls=applied)
 
 

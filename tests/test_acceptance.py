@@ -13,17 +13,17 @@ import numpy as np
 import pytest
 
 from golden_artifacts import GOLDEN, REGENERATE, artifact_digests, versions
-from mfgsolver.lattice import StepSizes, build_lattice, check_local_consistency, \
-    policy_value_sweep, transition_row
+from mfgsolver import checks
+from mfgsolver.lattice import StepSizes, build_lattice, policy_value_sweep
 from mfgsolver.measures import wasserstein2
-from mfgsolver.network import NetworkArchitecture, fit_loss, forward, \
-    grad_fit_loss_raw, load_checkpoint, random_theta
+from mfgsolver.network import NetworkArchitecture, load_checkpoint, \
+    random_theta
 from mfgsolver.problems import LqParams, lq_analytic_equilibrium, lq_problem, \
-    mfg2d_problem, riccati_closed_form, riccati_ode_solve
+    mfg2d_problem, riccati_closed_form
 from mfgsolver.runner import RunConfig, evaluate_lq_policy, run_algorithm1
 from mfgsolver.sa import ProjectionRegion, SaSchedule, train
 from mfgsolver.seeding import substream
-from mfgsolver.simulate import simulate_chain, simulate_sde
+from mfgsolver.simulate import estimate_cost, simulate_chain, simulate_sde
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -51,11 +51,9 @@ def mfg2d_run(tmp_path_factory):
 
 def test_criterion_01_riccati_cross_validation():
     params = LqParams()
-    times, eta_ode = riccati_ode_solve(params, 10_000)
-    eta_cf = riccati_closed_form(params, times)
-    gap = float(np.max(np.abs(eta_cf - eta_ode)))
-    print(f"criterion 1: max closed-form/ODE gap = {gap:.3e}")
-    assert gap <= 1e-6
+    check = checks.riccati(params, 10_000)
+    print(f"criterion 1: max closed-form/ODE gap = {check.worst:.3e}")
+    assert check.passed
     assert riccati_closed_form(params, 1.0) == 0.5
 
 
@@ -64,22 +62,11 @@ def test_criterion_02_mcam_structural_suite():
     steps = StepSizes.for_horizon(1.0, 0.2, 0.01)
     lat = build_lattice(problem, steps)
     assert lat.n_nodes == 36
-    interior = np.flatnonzero(lat.interior_mask())
-    rng = substream(0, "acceptance2")
-    worst_sum = 0.0
-    for _ in range(200):
-        idx = int(rng.choice(interior))
-        t = float(rng.uniform(0.0, steps.horizon - steps.h2))
-        m = rng.uniform(problem.domain_lower, problem.domain_upper)
-        al = rng.uniform(problem.control_lower, problem.control_upper)
-        row = transition_row(problem, lat, steps, t, idx, m, al)
-        probs = np.array([p for _, p in row.targets])
-        worst_sum = max(worst_sum, abs(probs.sum() - 1.0))
-        assert abs(probs.sum() - 1.0) <= 1e-12
-        assert np.all(probs >= 0.0)
-        assert check_local_consistency(row, problem, lat, steps, t, m,
-                                       al).passed
-    print(f"criterion 2: 200 interior rows ok, worst |sum-1| = {worst_sum:.1e}")
+    check = checks.interior_rows(problem, lat, steps,
+                                 substream(0, "acceptance2"), 200)
+    assert check.passed
+    print(f"criterion 2: 200 interior rows ok, worst |sum-1| = "
+          f"{check.worst:.1e}")
 
 
 def test_criterion_03_dp_monte_carlo_agreement():
@@ -99,13 +86,7 @@ def test_criterion_03_dp_monte_carlo_agreement():
 
     bundle = simulate_chain(problem, lat, steps, field, m, 10_000, seed=17,
                             x0=x0)
-    totals = np.zeros(10_000)
-    for n in range(steps.n_time):
-        totals += problem.running_cost(n * steps.h2, bundle.states[:, n],
-                                       m[n], bundle.controls[:, n]) * steps.h2
-    totals += problem.terminal_cost(bundle.states[:, -1], m[-1])
-    mc = totals.mean()
-    se = totals.std(ddof=1) / np.sqrt(10_000)
+    mc, se = estimate_cost(problem, bundle, m, steps)
     print(f"criterion 3: dp {v0:.5f} vs mc {mc:.5f} (se {se:.5f})")
     assert abs(v0 - mc) <= 3.0 * se
 
@@ -122,13 +103,7 @@ def test_criterion_04_wasserstein_oracle():
             np.mean(np.sum((a - b[list(perm)]) ** 2, axis=1))
             for perm in itertools.permutations(range(n)))
         assert abs(w - np.sqrt(best)) <= 1e-12
-    for _ in range(100):
-        clouds = [rng.normal(size=(4, 2)) for _ in range(3)]
-        dab = wasserstein2(clouds[0], clouds[1])
-        dbc = wasserstein2(clouds[1], clouds[2])
-        dac = wasserstein2(clouds[0], clouds[2])
-        assert abs(dab - wasserstein2(clouds[1], clouds[0])) <= 1e-12
-        assert dac <= dab + dbc + 1e-9
+    assert checks.wasserstein_axioms(rng, 100).passed
     print("criterion 4: 200 assignment instances exact, 100 triples metric")
 
 
@@ -146,16 +121,9 @@ def test_criterion_05_gradient_oracle():
         B = int(rng.integers(3, 9))
         inputs = rng.uniform(-1, 1, (B, d + 1))
         targets = rng.uniform(0, 1, (B, k))
-        _, g = grad_fit_loss_raw(arch, theta, inputs, targets)
-        h = 1e-6
-        for j in range(arch.n_params):
-            e = np.zeros(arch.n_params)
-            e[j] = h
-            fd = (fit_loss(arch, theta + e, inputs, targets)
-                  - fit_loss(arch, theta - e, inputs, targets)) / (2 * h)
-            rel = abs(g[j] - fd) / max(1.0, abs(fd))
-            worst = max(worst, rel)
-            assert rel <= 1e-5
+        check = checks.network_gradient(arch, theta, inputs, targets)
+        worst = max(worst, check.worst)
+        assert check.passed
     print(f"criterion 5: worst relative gradient error = {worst:.2e}")
 
 

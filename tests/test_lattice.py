@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from mfgsolver.errors import (EmptyControlGrid, NegativeProbability,
                               NonDivisibleDomain, DimensionMismatch)
+from mfgsolver.checks import check_local_consistency, transition_row
 from mfgsolver.lattice import (StepSizes, build_lattice, chain_step,
-                               check_local_consistency,
                                control_field_to_csv, control_grid,
                                dp_backward_sweep, policy_value_sweep,
-                               stencil_probabilities, transition_row,
-                               validate_stepsizes, value_table_to_csv)
+                               stencil_probabilities, validate_stepsizes,
+                               value_table_to_csv)
 from mfgsolver.problems import LqParams, MfgProblem, lq_problem, mfg2d_problem
 
 

@@ -10,13 +10,16 @@ import shutil
 import numpy as np
 import pytest
 
+import mfgsolver.lattice as lattice
 import mfgsolver.runner as runner
 import mfgsolver.simulate
+from mfgsolver import checks
 from mfgsolver.cli import main
 from mfgsolver.errors import ConfigError
 from mfgsolver.lattice import StepSizes
-from mfgsolver.measures import mean_path
-from mfgsolver.network import forward, load_checkpoint
+from mfgsolver.measures import mean_path, wasserstein2
+from mfgsolver.network import forward, grad_fit_loss_raw, load_checkpoint
+from mfgsolver.problems import riccati_ode_solve
 from mfgsolver.runner import CONFIG_SCHEMA, RunConfig, run_algorithm1
 from mfgsolver.simulate import paths_to_csv, simulate_sde
 
@@ -299,6 +302,29 @@ class TestRunner:
             (tmp_path / "part" / "theta_final.csv").read_bytes()
 
 
+def _ode_off_by_2e6(params, n_steps):
+    times, eta = riccati_ode_solve(params, n_steps)
+    return times, eta + 2e-6
+
+
+def _skewed_stencil(*args):
+    # 1e-6 of the self-loop moves to the first neighbour: rows still sum to
+    # 1, but the one-step mean is off by 1e-6 * h1
+    probs = lattice.stencil_probabilities(*args).copy()
+    probs[..., 0] -= 1e-6
+    probs[..., 1] += 1e-6
+    return probs
+
+
+def _gradient_off_by_1e3(*args):
+    loss, g = grad_fit_loss_raw(*args)
+    return loss, g + 1e-3
+
+
+def _asymmetric_w2(a, b):
+    return wasserstein2(a, b) + 1e-9 * b[0, 0]
+
+
 class TestCli:
     def test_riccati_terminal_row(self, capsys):
         assert main(["riccati", "--n", "100"]) == 0
@@ -407,6 +433,35 @@ class TestCli:
     def test_validate_passes(self, capsys):
         assert main(["validate"]) == 0
         assert "passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    def test_validate_passes_at_other_seeds(self, seed, capsys):
+        assert main(["validate", "--seed", str(seed)]) == 0
+        captured = capsys.readouterr()
+        assert "passed" in captured.out and not captured.err
+
+    # (attribute of mfgsolver.checks, its broken stand-in, the checks that
+    # must fail)
+    BROKEN = [
+        ("riccati_ode_solve", _ode_off_by_2e6, ["riccati closed form vs ODE"]),
+        ("stencil_probabilities", _skewed_stencil,
+         ["lq interior rows", "mfg2d interior rows"]),
+        ("grad_fit_loss_raw", _gradient_off_by_1e3, ["network gradient"]),
+        ("wasserstein2", _asymmetric_w2, ["wasserstein metric axioms"]),
+    ]
+
+    @pytest.mark.parametrize("attr,broken,names", BROKEN,
+                             ids=[b[0] for b in BROKEN])
+    def test_validate_failure_exits_1(self, monkeypatch, capsys, attr,
+                                      broken, names):
+        monkeypatch.setattr(checks, attr, broken)
+        assert main(["validate"]) == 1
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == len(names)
+        for line, name in zip(lines, names):
+            assert line.startswith(f"FAIL: {name} (worst ")
 
     def test_simulate_from_checkpoint(self, tmp_path, capsys):
         cfg = tiny_lq_config(tmp_path / "out")
