@@ -140,7 +140,7 @@ def kw_step(theta, schedule: SaSchedule, region: ProjectionRegion,
 
     The 2r+1 evaluations are one ``evaluator`` call on the stacked points,
     all with ``eval_seed`` (common random numbers).
-    Returns ``(theta_next, info)`` with the projection term z_l recorded.
+    Returns ``(theta_next, info)``, with z_l and whether the step was cut.
     """
     theta = np.asarray(theta, dtype=float)
     r = theta.shape[0]
@@ -171,7 +171,7 @@ def kw_step(theta, schedule: SaSchedule, region: ProjectionRegion,
         "eps": eps,
         "delta": delta,
         "grad_norm": float(np.linalg.norm(k_vec)),
-        "projected": bool(np.any(z != 0.0)),
+        "projected": bool(np.any(cand != theta + eps * k_vec)),
         "z": z,
     }
     return cand, info

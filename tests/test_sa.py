@@ -5,6 +5,7 @@ from mfgsolver.errors import NonFiniteEvaluation
 from mfgsolver.lattice import StepSizes, build_lattice
 from mfgsolver.network import (NetworkArchitecture, forward, random_theta,
                                zero_theta)
+from mfgsolver.problems import LqParams, lq_problem
 from mfgsolver.sa import (ProjectionRegion, SaSchedule, improvement, kw_step,
                           train)
 from mfgsolver.seeding import substream
@@ -89,6 +90,33 @@ class TestKwStep:
         assert nxt[0] == pytest.approx(1.0)
         assert info["projected"]
         assert info["z"][0] < 0.0
+
+    @pytest.mark.parametrize("case", ["unclipped", "box", "band"])
+    def test_projected_only_when_the_step_is_cut(self, case):
+        # (theta + s) - theta != s in floating point, so a test on
+        # z = (cand - theta - s) / eps calls an unclipped step projected
+        sch = SaSchedule()
+        if case == "band":
+            # the output bias pulls the control past the band: halved steps
+            problem = lq_problem(LqParams())
+            steps = StepSizes.for_horizon(1.0, 0.2, 0.1)
+            arch = NetworkArchitecture.for_problem(problem, hidden=(4,))
+            theta = zero_theta(arch)
+            region = ProjectionRegion.around_anchor(
+                arch, theta, build_lattice(problem, steps), steps, band=0.05,
+                m_bound=100.0)
+            tstar = theta.copy()
+            tstar[-1] = 8.0
+        else:
+            theta = np.array([0.7, -0.3, 0.45])
+            tstar = np.array([1.0, -1.0, 0.5]) if case == "unclipped" \
+                else np.array([50.0, -1.0, 0.5])
+            region = ProjectionRegion(m_bound=10.0)
+        nxt, info = kw_step(theta, sch, region, quadratic(tstar), 0, 0)
+        free = theta + sch.eps(0) * 2.0 * (tstar - theta)
+        assert info["projected"] == (case != "unclipped")
+        assert np.allclose(nxt, free) == (case == "unclipped")
+        assert region.contains(nxt)
 
     def test_nonfinite_raises(self):
         def bad(thetas, seed):
