@@ -1,8 +1,10 @@
 """State/time lattice, locally consistent transition probabilities, and the
 two halves of the Markov chain approximation, each written once: the chain
 loop (``run_chain``, around the ``chain_step`` kernel) and the backward
-recursion, which ``dp_backward_sweep`` runs with a min over the control grid
-and ``policy_value_sweep`` with one control per node.  The row-level
+recursion, which ``dp_backward_sweep`` runs with a min over the control grid,
+``policy_value_sweep`` with one control per node, and
+``policy_start_values`` with one control per node for each of a stack of
+policies at once (the exact objective of the SA stage).  The row-level
 structural checks live in ``checks``.
 
 Transition stencil: each node talks to itself, its axis neighbours
@@ -263,29 +265,40 @@ def control_grid(problem, points_per_axis: int = 16) -> np.ndarray:
 
 
 def _backward(problem, lattice: Lattice, steps: StepSizes,
-              mbar_path: np.ndarray, control_layer, field=None) -> np.ndarray:
-    """The backward recursion of every sweep, v_n = min_c [E_c v_{n+1} +
-    f(., c) h2], over the (n_nodes, C, k) layer ``control_layer(t)``; the
-    first minimum wins and goes to ``field`` (n_time, n_nodes, k) if given.
-    Returns the (n_time+1, n_nodes) value table."""
+              mbar_path: np.ndarray, control_layer, field=None,
+              table: bool = True) -> np.ndarray:
+    """The backward recursion of every sweep, for R value functions at once:
+    v_n[:, r] = min_c [E_{r,c} v_{n+1}[:, r] + f(., c) h2] over the
+    (n_nodes, R, C, k) layer ``control_layer(t)``, with one stencil call per
+    time step for all rows.  For R = 1 the first minimum wins and goes to
+    ``field`` (n_time, n_nodes, k) if given.  Returns the (n_time+1,
+    n_nodes, R) value table, or, without ``table``, its t = 0 slice
+    (n_nodes, R), holding two slices at a time instead of the table."""
     if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
     neigh = lattice.neighbor_indices()
     nodes = np.arange(lattice.n_nodes)
-    values = np.empty((steps.n_time + 1, lattice.n_nodes))
-    values[-1] = problem.terminal_cost(lattice.points, mbar_path[-1])
+    points = lattice.points[:, None, None, :]
+    v = problem.terminal_cost(lattice.points, mbar_path[-1])[:, None]
+    values = None
     for n in range(steps.n_time - 1, -1, -1):
         t = n * steps.h2
         alphas = control_layer(t)
+        if n == steps.n_time - 1:
+            v = np.broadcast_to(v, (lattice.n_nodes, alphas.shape[1]))
+            if table:
+                values = np.empty((steps.n_time + 1,) + v.shape)
+                values[-1] = v
         probs = stencil_probabilities(problem, lattice, steps, t,
                                       mbar_path[n], alphas)
-        q = np.einsum("nco,no->nc", probs, values[n + 1][neigh])
-        q += problem.running_cost(t, lattice.points[:, None, :],
-                                  mbar_path[n], alphas) * steps.h2
-        values[n] = q.min(axis=1)
+        q = np.einsum("nrco,nor->nrc", probs, v[neigh])
+        q += problem.running_cost(t, points, mbar_path[n], alphas) * steps.h2
+        v = q.min(axis=2)
+        if values is not None:
+            values[n] = v
         if field is not None:
-            field[n] = alphas[nodes, np.argmin(q, axis=1)]
-    return values
+            field[n] = alphas[nodes, 0, np.argmin(q[:, 0], axis=1)]
+    return values if table else v
 
 
 def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
@@ -297,10 +310,12 @@ def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
     controls = np.asarray(controls, dtype=float)
     if controls.size == 0:
         raise EmptyControlGrid("control grid is empty")
-    alphas = np.broadcast_to(controls, (lattice.n_nodes,) + controls.shape)
+    alphas = np.broadcast_to(controls,
+                             (lattice.n_nodes, 1) + controls.shape)
     field = np.empty((steps.n_time, lattice.n_nodes, controls.shape[1]))
-    return _backward(problem, lattice, steps, mbar_path, lambda t: alphas,
-                     field), field
+    values = _backward(problem, lattice, steps, mbar_path, lambda t: alphas,
+                       field)
+    return values[..., 0], field
 
 
 def policy_value_sweep(problem, lattice: Lattice, steps: StepSizes,
@@ -308,7 +323,19 @@ def policy_value_sweep(problem, lattice: Lattice, steps: StepSizes,
     """Backward policy evaluation under the (n_time+1, d) mean path: the
     recursion with the one control per node of ``control_fn(t, points)``."""
     return _backward(problem, lattice, steps, mbar_path,
-                     lambda t: control_fn(t, lattice.points)[:, None, :])
+                     lambda t: control_fn(t, lattice.points)[:, None, None, :]
+                     )[..., 0]
+
+
+def policy_start_values(problem, lattice: Lattice, steps: StepSizes,
+                        mbar_path: np.ndarray, control_rows) -> np.ndarray:
+    """V(0, .) of R policies at once, shape (n_nodes, R): the recursion with
+    the controls ``control_rows(t, points)``, (R, n_nodes, k), one per row
+    and node.  Column r is the t = 0 row of ``policy_value_sweep`` under the
+    r-th policy, computed without holding the value table."""
+    return _backward(problem, lattice, steps, mbar_path,
+                     lambda t: control_rows(t, lattice.points)
+                     .transpose(1, 0, 2)[:, :, None, :], table=False)
 
 
 def validate_stepsizes(problem, lattice: Lattice, steps: StepSizes,

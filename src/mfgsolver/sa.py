@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteEvaluation
-from .network import forward
+from .lattice import policy_start_values
+from .network import feedback, forward
 from .seeding import substream
 
 
@@ -102,14 +103,35 @@ class ProjectionRegion:
 
 
 def improvement(problem, lattice, steps, mbar_path, arch, thetas,
-                n_mc: int, seed: int) -> np.ndarray:
-    """Negative average Monte-Carlo chain cost for each row of ``thetas``.
+                n_mc: int, seed: int, method: str = "mc") -> np.ndarray:
+    """Negative average chain cost from t = 0 over the state lattice, for
+    each row of ``thetas`` under the network of that row and the (n_time + 1,
+    d) mean path ``mbar_path``.  Returns shape (P,).
 
-    Each node launches ``n_mc`` chains at t = 0 under the network of each
-    row, against the (n_time + 1, d) mean path ``mbar_path``; all rows share
-    the uniforms drawn from ``seed`` (common random numbers).  Returns shape
-    (P,).
+    ``method`` is the ``[sa] evaluator``: ``"exact"`` is -mean over nodes of
+    V_theta(0, .), one backward recursion of the chain for all rows
+    (``lattice.policy_start_values``), and ignores ``n_mc`` and ``seed``;
+    ``"mc"`` is the paper's estimator, ``n_mc`` chains per node on uniforms
+    drawn from ``seed`` and shared by all rows (common random numbers).
     """
+    if method == "exact":
+        costs = policy_start_values(problem, lattice, steps, mbar_path,
+                                    feedback(arch, thetas)).T
+    elif method == "mc":
+        costs = _chain_costs(problem, lattice, steps, mbar_path, arch, thetas,
+                             n_mc, seed)
+    else:
+        raise ValueError(f"unknown evaluator '{method}'")
+    g = -np.mean(costs, axis=1)
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteEvaluation("improvement evaluation is not finite")
+    return g
+
+
+def _chain_costs(problem, lattice, steps, mbar_path, arch, thetas,
+                 n_mc: int, seed: int) -> np.ndarray:
+    """Cost of ``n_mc`` chains from each node per row of ``thetas``, (P,
+    n_nodes * n_mc), all rows on the uniforms drawn from ``seed``."""
     from .lattice import chain_step, stencil_probabilities
 
     rng = substream(seed, "improve")
@@ -127,11 +149,7 @@ def improvement(problem, lattice, steps, mbar_path, arch, thetas,
                                     mbar_path[n], layer)      # (N, P)
         total += np.take(cost, nodes * cost.shape[1] + rows) * steps.h2
         nodes = chain_step(lattice, probs, nodes, rng, rows)
-    total += problem.terminal_cost(lattice.points, mbar_path[-1])[nodes]
-    g = -np.mean(total, axis=1)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteEvaluation("improvement evaluation is not finite")
-    return g
+    return total + problem.terminal_cost(lattice.points, mbar_path[-1])[nodes]
 
 
 def kw_step(theta, schedule: SaSchedule, region: ProjectionRegion,
@@ -182,8 +200,9 @@ def train(theta_init, schedule: SaSchedule, region: ProjectionRegion,
     """Iterate kw_step until the moving-average objective change stalls.
 
     Stops when |MA(G) change| < trigger (window ``ma_window``), when the
-    update vanishes, or at max_steps.  Returns the iterate with the best
-    observed objective.
+    update vanishes, or at max_steps.  Returns the evaluated iterate with
+    the best objective.  A step evaluates G at its starting point only, so
+    the candidate of the last step is neither evaluated nor returned.
     """
     theta = np.asarray(theta_init, dtype=float).copy()
     eval_seed = int(substream(seed, "crn").integers(2 ** 62))
@@ -209,6 +228,5 @@ def train(theta_init, schedule: SaSchedule, region: ProjectionRegion,
             if prev_ma is not None and abs(ma - prev_ma) < schedule.trigger:
                 break
             prev_ma = ma
-    # the final iterate counts too (its G is evaluated on the next step
-    # normally; reuse the last recorded value conservatively)
+    # the last theta_next was never evaluated, so it cannot compete
     return best_theta if best_g > -np.inf else theta

@@ -6,7 +6,9 @@ recursion and the chain loop were shared: a DP sweep over the control grid,
 a policy sweep under one feedback control, the induced-measure simulation
 and the chain rollout.  The shared code must give the same arrays bit for
 bit, on the shipped ``lq`` and ``mfg2d`` setups, at the coarse and the fine
-spacing, for grid and callable controls.
+spacing, for grid and callable controls.  The exact SA evaluator, the same
+recursion over a stack of parameter rows, must give the policy sweep's
+value at t = 0 for each row.
 """
 
 import os
@@ -19,6 +21,7 @@ from mfgsolver.lattice import (StepSizes, chain_step, dp_backward_sweep,
 from mfgsolver.measures import induced_measure
 from mfgsolver.network import feedback, random_theta
 from mfgsolver.runner import RunConfig
+from mfgsolver.sa import improvement
 from mfgsolver.seeding import substream
 from mfgsolver.simulate import simulate_chain
 
@@ -187,3 +190,38 @@ def test_simulate_chain_equals_reference(setup, start):
         assert np.array_equal(bundle.states, states)
         assert np.array_equal(bundle.controls, applied)
         assert np.array_equal(bundle.times, steps.times())
+
+
+@pytest.fixture(scope="module", params=["lq.cfg", "mfg2d.cfg"],
+                ids=lambda name: name[:-4])
+def coarse_setup(request):
+    """(problem, steps, lattice, random mean path, architecture) of a
+    shipped config on its coarse lattice, where SA evaluates."""
+    with open(os.path.join(CONFIG_DIR, request.param)) as fh:
+        problem, steps, lat, _, _, _, arch, _ = \
+            RunConfig.from_ini(fh.read()).build()
+    rng = np.random.default_rng(lat.n_nodes)
+    mbar_path = rng.uniform(problem.domain_lower, problem.domain_upper,
+                            (steps.n_time + 1, problem.dim))
+    return problem, steps, lat, mbar_path, arch
+
+
+@pytest.mark.parametrize("n_rows", [1, 5])
+def test_exact_evaluator_equals_policy_sweeps(coarse_setup, n_rows):
+    """Row p is -mean over nodes of the t = 0 row of the policy sweep under
+    theta_p.  One row runs the sweep's arithmetic and matches bit for bit;
+    with more rows einsum sums the stencil columns in another order, so the
+    rows match to rounding."""
+    problem, steps, lat, mbar_path, arch = coarse_setup
+    rng = np.random.default_rng(n_rows)
+    thetas = np.stack([random_theta(arch, rng, scale=s)
+                       for s in np.linspace(0.5, 3.0, n_rows)])
+    exact = improvement(problem, lat, steps, mbar_path, arch, thetas, 1, 0,
+                        "exact")
+    swept = np.array([-np.mean(policy_value_sweep(
+        problem, lat, steps, mbar_path, feedback(arch, theta))[0])
+        for theta in thetas])
+    if n_rows == 1:
+        assert np.array_equal(exact, swept)
+    else:
+        np.testing.assert_allclose(exact, swept, rtol=1e-12, atol=0)

@@ -166,6 +166,19 @@ class TestTrain:
                     flat, seed=0)
         np.testing.assert_array_equal(out, theta0)
 
+    def test_last_candidate_is_not_returned(self):
+        # each step evaluates G at its start only, so with a one-step budget
+        # the better candidate it moves to is never evaluated or returned
+        tstar = np.array([1.0, -1.0, 0.5])
+        theta0 = np.array([0.2, 0.1, -0.3])
+        sch = SaSchedule(eps0=0.25, max_steps=1)  # halfway to the optimum
+        region = ProjectionRegion(m_bound=10.0)
+        cand, _ = kw_step(theta0, sch, region, quadratic(tstar), 0, 0)
+        g = quadratic(tstar)(np.stack([theta0, cand]), 0)
+        assert g[1] > g[0]
+        out = train(theta0, sch, region, quadratic(tstar), seed=0)
+        assert np.array_equal(out, theta0)
+
     def test_trace_recorded(self):
         trace = []
         train(np.zeros(2), SaSchedule(max_steps=30),
@@ -241,6 +254,56 @@ def oracle_setup(request, setup):
         m = mean_path(np.repeat(cloud[None], steps.n_time + 1, axis=0))
     arch = NetworkArchitecture.for_problem(problem, hidden=(3,))
     return problem, steps, lat, m, arch
+
+
+class TestExactEvaluator:
+    def test_ignores_seed_and_n_mc(self, oracle_setup):
+        problem, steps, lat, m, arch = oracle_setup
+        thetas = random_theta(arch, substream(4, "exact"), scale=3.0)[None]
+        a = improvement(problem, lat, steps, m, arch, thetas, 4, 9, "exact")
+        b = improvement(problem, lat, steps, m, arch, thetas, 1, 10, "exact")
+        assert np.array_equal(a, b)
+
+    def test_batched_equals_per_row_loop(self, oracle_setup):
+        # with more than one row einsum sums the stencil columns in another
+        # order, so the batch agrees with one-row calls to rounding only
+        problem, steps, lat, m, arch = oracle_setup
+        rng = substream(11, "exact-theta")
+        thetas = np.stack([random_theta(arch, rng, scale=3.0)
+                           for _ in range(5)])
+        batched = improvement(problem, lat, steps, m, arch, thetas, 4, 9,
+                              "exact")
+        one_row = [improvement(problem, lat, steps, m, arch, th[None], 4, 9,
+                               "exact")[0] for th in thetas]
+        np.testing.assert_allclose(batched, one_row, rtol=1e-12, atol=0)
+
+    def test_monte_carlo_is_unbiased(self, oracle_setup):
+        # the chain's expected cost from t = 0 is what both estimate
+        problem, steps, lat, m, arch = oracle_setup
+        rng = substream(12, "exact-theta")
+        thetas = np.stack([random_theta(arch, rng, scale=3.0)
+                           for _ in range(3)])
+        exact = improvement(problem, lat, steps, m, arch, thetas, 4, 0,
+                            "exact")
+        mc = np.array([improvement(problem, lat, steps, m, arch, thetas, 4,
+                                   seed) for seed in range(40)])
+        se = mc.std(axis=0, ddof=1) / np.sqrt(len(mc))
+        assert np.all(se > 0)
+        assert np.all(np.abs(mc.mean(axis=0) - exact) <= 3.0 * se)
+
+    def test_unknown_method_raises(self, oracle_setup):
+        problem, steps, lat, m, arch = oracle_setup
+        with pytest.raises(ValueError, match="exakt"):
+            improvement(problem, lat, steps, m, arch,
+                        zero_theta(arch)[None], 4, 0, "exakt")
+
+    def test_nonfinite_raises(self, oracle_setup):
+        problem, steps, lat, m, arch = oracle_setup
+        bad = m.copy()
+        bad[-1] = np.inf
+        with pytest.raises(NonFiniteEvaluation):
+            improvement(problem, lat, steps, bad, arch,
+                        zero_theta(arch)[None], 4, 0, "exact")
 
 
 class TestBatchedOracle:
