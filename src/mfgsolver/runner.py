@@ -70,6 +70,7 @@ CONFIG_SCHEMA = (
     ("sa", "p_delta", "p_delta", float),
     ("sa", "max_steps", "sa_max_steps", int),
     ("sa", "trigger", "sa_trigger", float),
+    ("sa", "evaluator", "evaluator", str),
     ("sa", "n_mc", "n_mc", int),
     ("sa", "m_bound", "m_bound", float),
     ("sa", "control_band", "control_band", float),
@@ -109,6 +110,7 @@ class RunConfig:
     p_delta: float = 0.25
     sa_max_steps: int = 5000
     sa_trigger: float = 1e-5
+    evaluator: str = "exact"          # exact | mc
     n_mc: int = 32
     m_bound: float = 10.0
     control_band: float = np.inf
@@ -144,6 +146,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.w2_q < 1.0:
             raise ConfigError("w2_q must lie in (0, 1)")
+        if self.evaluator not in ("exact", "mc"):
+            raise ConfigError(f"unknown evaluator '{self.evaluator}'")
         if self.stop_rule not in ("either", "both", "w2", "value"):
             raise ConfigError(f"unknown stop_rule '{self.stop_rule}'")
         if self.initial_measure not in ("uncontrolled", "initial"):
@@ -425,7 +429,8 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
 
             def evaluator(thetas, eval_seed, _m=mbar_path):
                 return improvement(problem, lat_c, steps_c, _m, arch,
-                                   thetas, config.n_mc, eval_seed)
+                                   thetas, config.n_mc, eval_seed,
+                                   config.evaluator)
 
             theta = train(theta0, schedule, region, evaluator, sa_seed,
                           trace=sa_trace)

@@ -1,16 +1,23 @@
 """Projected Kiefer-Wolfowitz refinement of the policy parameters.
 
-The scalar objective is the negative average chain cost over the state
-lattice; each coordinate of the gradient estimate is a central finite
-difference of two noisy evaluations sharing common random numbers.  The
-iterate is confined to a box on the parameters intersected with a trust
-band around the grid-search anchor control.
+The scalar objective is the negative average, over the state lattice, of
+the chain's expected cost from t = 0; each coordinate of the gradient
+estimate is a central finite difference of two evaluations.  The iterate is
+confined to a box on the parameters intersected with a trust band around the
+grid-search anchor control.
 
 Evaluator contract: ``evaluator(thetas, seed)`` maps a (P, r) stack of
 parameter vectors to their P objective values.  A KW step is one call on
-the (2r+1, r) stack [theta, theta + delta e_1, theta - delta e_1, ...];
-``improvement`` steps all rows at once on shared uniforms (the common random
-numbers), so each value equals that of a one-row call with the same seed.
+the (2r+1, r) stack [theta, theta + delta e_1, theta - delta e_1, ...].
+``improvement`` evaluates all rows at once, by one of two methods (the
+``[sa] evaluator`` key):
+
+- ``exact`` (the default of a solve): the objective itself, one backward
+  recursion of the chain over the stack (``lattice.policy_start_values``).
+  It ignores the seed, so the finite differences carry no sampling noise.
+- ``mc``: the paper's Monte-Carlo estimate, chains from every node that all
+  rows step on shared uniforms (common random numbers), so each value
+  equals that of a one-row call with the same seed.
 """
 
 from __future__ import annotations

@@ -83,6 +83,16 @@ class TestRunConfig:
             RunConfig(w2_q=1.0)
         with pytest.raises(ConfigError):
             RunConfig(stop_rule="sometimes")
+        with pytest.raises(ConfigError, match="evaluator 'MC'"):
+            RunConfig(evaluator="MC")
+
+    @pytest.mark.parametrize("evaluator", ["exact", "mc"])
+    def test_evaluator_round_trips(self, evaluator):
+        cfg = tiny_lq_config("out", evaluator=evaluator)
+        text = cfg.to_ini()
+        assert f"evaluator = {evaluator}\n" in text
+        assert RunConfig.from_ini(text) == cfg
+        assert RunConfig.from_ini(text).to_ini() == text
 
     def test_bundled_configs_parse(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -108,6 +118,7 @@ class TestRunConfig:
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         assert RunConfig.from_ini("[model]\nname = lq\n") == RunConfig()
+        assert RunConfig().evaluator == "exact"
         cfg = RunConfig.from_ini("[model]\nname = mfg2d\n[sa]\nn_mc = 4\n")
         assert cfg == RunConfig(model="mfg2d", n_mc=4)
 
@@ -381,6 +392,7 @@ class TestCli:
         ("lq.cfg", "lattice", "h2_coarse", "0.03", "h2_coarse"),
         ("lq.cfg", "lattice", "h1_fine", "0.07", "h1_fine"),
         ("lq.cfg", "sa", "n_mc", "0", "n_mc"),
+        ("lq.cfg", "sa", "evaluator", "exakt", "evaluator"),
         ("lq.cfg", "sa", "m_bound", "-1", "m_bound"),
         ("lq.cfg", "iteration", "max_iter", "1", "iteration/max_iter"),
         ("lq.cfg", "model", "sigmaa", "3.0", "model/sigmaa"),
@@ -419,6 +431,20 @@ class TestCli:
         assert main(["solve", "--config", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["model"] == "lq"
+
+    def test_solve_tiny_run_monte_carlo(self, tiny_run, tmp_path, capsys):
+        # the paper's estimator still runs end to end behind the key, and
+        # scores SA otherwise than the default exact evaluator
+        cfg = tiny_lq_config(tmp_path / "out", evaluator="mc")
+        path = tmp_path / "tiny.cfg"
+        path.write_text(cfg.to_ini())
+        assert main(["solve", "--config", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["model"] == "lq"
+        assert report["sa_best_g"] != tiny_run[1].sa_best_g
+        copy = RunConfig.from_ini((tmp_path / "out" / "config.copy")
+                                  .read_text())
+        assert copy.evaluator == "mc"
 
     def test_solve_out_with_percent(self, tmp_path, capsys):
         cfg = tiny_lq_config(tmp_path / "unused")
