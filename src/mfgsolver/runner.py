@@ -70,8 +70,6 @@ CONFIG_SCHEMA = (
     ("sa", "p_delta", "p_delta", float),
     ("sa", "max_steps", "sa_max_steps", int),
     ("sa", "trigger", "sa_trigger", float),
-    ("sa", "evaluator", "evaluator", str),
-    ("sa", "n_mc", "n_mc", int),
     ("sa", "m_bound", "m_bound", float),
     ("sa", "control_band", "control_band", float),
     ("iteration", "trigger", "iter_trigger", float),
@@ -110,8 +108,6 @@ class RunConfig:
     p_delta: float = 0.25
     sa_max_steps: int = 5000
     sa_trigger: float = 1e-5
-    evaluator: str = "exact"          # exact | mc
-    n_mc: int = 32
     m_bound: float = 10.0
     control_band: float = np.inf
     iter_trigger: float = 1e-6
@@ -136,7 +132,7 @@ class RunConfig:
             if cast is float and np.isnan(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number, got nan")
         for name in ("fit_max_steps", "sa_max_steps", "max_iters",
-                     "n_particles", "control_points", "n_mc"):
+                     "n_particles", "control_points"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_eval_paths < 0:
@@ -146,8 +142,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.w2_q < 1.0:
             raise ConfigError("w2_q must lie in (0, 1)")
-        if self.evaluator not in ("exact", "mc"):
-            raise ConfigError(f"unknown evaluator '{self.evaluator}'")
         if self.stop_rule not in ("either", "both", "w2", "value"):
             raise ConfigError(f"unknown stop_rule '{self.stop_rule}'")
         if self.initial_measure not in ("uncontrolled", "initial"):
@@ -229,7 +223,7 @@ class RunConfig:
             schedule = SaSchedule(eps0=self.eps0, delta0=self.delta0,
                                   p_eps=self.p_eps, p_delta=self.p_delta,
                                   max_steps=self.sa_max_steps,
-                                  trigger=self.sa_trigger, n_mc=self.n_mc)
+                                  trigger=self.sa_trigger)
         except (ValueError, SolverError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         return (problem, *grids, control_grid(problem, self.control_points),
@@ -331,6 +325,15 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         config.build()
     _check_stepsizes(problem, ((lat_c, steps_c), (lat_f, steps_f)), controls)
     threshold = w2_stop_threshold(config.w2_q, config.h1_coarse)
+    resume_file = os.path.join(out, "resume_state.npz")
+    blob = np.load(resume_file) if resume and os.path.exists(resume_file) \
+        else None
+    # a state without the tag was written when SA scored the Monte-Carlo
+    # estimate; its best G cannot be continued under the exact objective
+    if blob is not None and ("sa_objective" not in blob
+                             or str(blob["sa_objective"]) != "exact"):
+        raise ConfigError(f"{resume_file} was written under another SA "
+                          "objective; start a fresh run without --resume")
 
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "config.copy"), "w") as fh:
@@ -342,10 +345,8 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     sa_seed = int(substream(config.seed, "sa").integers(2 ** 62))
     induce_seed = int(substream(config.seed, "measure").integers(2 ** 62))
 
-    resume_file = os.path.join(out, "resume_state.npz")
     k_start = 1
-    if resume and os.path.exists(resume_file):
-        blob = np.load(resume_file)
+    if blob is not None:
         k_start = int(blob["k"]) + 1
         m_bar = blob["m_bar"]
         mbar_path = mean_path(m_bar)
@@ -428,9 +429,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
             sa_trace: list = []
 
             def evaluator(thetas, eval_seed, _m=mbar_path):
-                return improvement(problem, lat_c, steps_c, _m, arch,
-                                   thetas, config.n_mc, eval_seed,
-                                   config.evaluator)
+                return improvement(problem, lat_c, steps_c, _m, arch, thetas)
 
             theta = train(theta0, schedule, region, evaluator, sa_seed,
                           trace=sa_trace)
@@ -496,7 +495,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                              first_w2=-1 if first_w2 is None else first_w2,
                              first_value=-1 if first_value is None
                              else first_value,
-                             best_g=best_g)
+                             best_g=best_g, sa_objective="exact")
                 os.replace(resume_file + ".tmp", resume_file)
     finally:
         trace_fp.close()

@@ -8,16 +8,14 @@ grid-search anchor control.
 
 Evaluator contract: ``evaluator(thetas, seed)`` maps a (P, r) stack of
 parameter vectors to their P objective values.  A KW step is one call on
-the (2r+1, r) stack [theta, theta + delta e_1, theta - delta e_1, ...].
-``improvement`` evaluates all rows at once, by one of two methods (the
-``[sa] evaluator`` key):
-
-- ``exact`` (the default of a solve): the objective itself, one backward
-  recursion of the chain over the stack (``lattice.policy_start_values``).
-  It ignores the seed, so the finite differences carry no sampling noise.
-- ``mc``: the paper's Monte-Carlo estimate, chains from every node that all
-  rows step on shared uniforms (common random numbers), so each value
-  equals that of a one-row call with the same seed.
+the (2r+1, r) stack [theta, theta + delta e_1, theta - delta e_1, ...],
+with one seed for all rows, so a noisy evaluator gets common random
+numbers.  The solve's evaluator is ``improvement``, the objective itself:
+one backward recursion of the chain over the stack
+(``lattice.policy_start_values``).  It draws nothing and ignores the seed,
+so the finite differences carry no sampling noise.  It replaces the paper's
+Monte-Carlo estimate of the same expectation (chains from every node),
+which is kept in the tests as the reference it agrees with in mean.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ class SaSchedule:
     p_delta: float = 0.25
     max_steps: int = 5000
     trigger: float = 1e-5
-    n_mc: int = 32
 
     def __post_init__(self):
         if self.eps0 <= 0 or self.delta0 <= 0:
@@ -109,54 +106,20 @@ class ProjectionRegion:
                    anchor_states=states, anchor_controls=anchors, band=band)
 
 
-def improvement(problem, lattice, steps, mbar_path, arch, thetas,
-                n_mc: int, seed: int, method: str = "mc") -> np.ndarray:
-    """Negative average chain cost from t = 0 over the state lattice, for
-    each row of ``thetas`` under the network of that row and the (n_time + 1,
-    d) mean path ``mbar_path``.  Returns shape (P,).
-
-    ``method`` is the ``[sa] evaluator``: ``"exact"`` is -mean over nodes of
-    V_theta(0, .), one backward recursion of the chain for all rows
-    (``lattice.policy_start_values``), and ignores ``n_mc`` and ``seed``;
-    ``"mc"`` is the paper's estimator, ``n_mc`` chains per node on uniforms
-    drawn from ``seed`` and shared by all rows (common random numbers).
+def improvement(problem, lattice, steps, mbar_path, arch,
+                thetas) -> np.ndarray:
+    """Negative average over the state lattice of the chain's expected cost
+    from t = 0, -mean over nodes of V_theta(0, .), for each row of
+    ``thetas`` under the network of that row and the (n_time + 1, d) mean
+    path ``mbar_path``.  One backward recursion of the chain for all rows
+    (``lattice.policy_start_values``).  Returns shape (P,).
     """
-    if method == "exact":
-        costs = policy_start_values(problem, lattice, steps, mbar_path,
-                                    feedback(arch, thetas)).T
-    elif method == "mc":
-        costs = _chain_costs(problem, lattice, steps, mbar_path, arch, thetas,
-                             n_mc, seed)
-    else:
-        raise ValueError(f"unknown evaluator '{method}'")
-    g = -np.mean(costs, axis=1)
+    costs = policy_start_values(problem, lattice, steps, mbar_path,
+                                feedback(arch, thetas))
+    g = -np.mean(costs, axis=0)
     if not np.all(np.isfinite(g)):
         raise NonFiniteEvaluation("improvement evaluation is not finite")
     return g
-
-
-def _chain_costs(problem, lattice, steps, mbar_path, arch, thetas,
-                 n_mc: int, seed: int) -> np.ndarray:
-    """Cost of ``n_mc`` chains from each node per row of ``thetas``, (P,
-    n_nodes * n_mc), all rows on the uniforms drawn from ``seed``."""
-    from .lattice import chain_step, stencil_probabilities
-
-    rng = substream(seed, "improve")
-    n_nodes = lattice.n_nodes
-    rows = np.arange(len(thetas))[:, None]
-    nodes = np.tile(np.repeat(np.arange(n_nodes), n_mc), (rows.shape[0], 1))
-    total = np.zeros(nodes.shape)
-    for n in range(steps.n_time):
-        t = n * steps.h2
-        layer = forward(arch, thetas, np.full(n_nodes, t),
-                        lattice.points).transpose(1, 0, 2)    # (N, P, k)
-        probs = stencil_probabilities(problem, lattice, steps, t,
-                                      mbar_path[n], layer)
-        cost = problem.running_cost(t, lattice.points[:, None, :],
-                                    mbar_path[n], layer)      # (N, P)
-        total += np.take(cost, nodes * cost.shape[1] + rows) * steps.h2
-        nodes = chain_step(lattice, probs, nodes, rng, rows)
-    return total + problem.terminal_cost(lattice.points, mbar_path[-1])[nodes]
 
 
 def kw_step(theta, schedule: SaSchedule, region: ProjectionRegion,

@@ -216,8 +216,7 @@ def test_exact_evaluator_equals_policy_sweeps(coarse_setup, n_rows):
     rng = np.random.default_rng(n_rows)
     thetas = np.stack([random_theta(arch, rng, scale=s)
                        for s in np.linspace(0.5, 3.0, n_rows)])
-    exact = improvement(problem, lat, steps, mbar_path, arch, thetas, 1, 0,
-                        "exact")
+    exact = improvement(problem, lat, steps, mbar_path, arch, thetas)
     swept = np.array([-np.mean(policy_value_sweep(
         problem, lat, steps, mbar_path, feedback(arch, theta))[0])
         for theta in thetas])

@@ -53,7 +53,7 @@ def tiny_lq_config(out_dir, **overrides):
         control_points=5,
         hidden=(4,),
         fit_trigger=1e-3, fit_max_steps=150,
-        sa_max_steps=2, n_mc=4,
+        sa_max_steps=2,
         max_iters=3,
         n_particles=100,
         seed=42,
@@ -83,16 +83,6 @@ class TestRunConfig:
             RunConfig(w2_q=1.0)
         with pytest.raises(ConfigError):
             RunConfig(stop_rule="sometimes")
-        with pytest.raises(ConfigError, match="evaluator 'MC'"):
-            RunConfig(evaluator="MC")
-
-    @pytest.mark.parametrize("evaluator", ["exact", "mc"])
-    def test_evaluator_round_trips(self, evaluator):
-        cfg = tiny_lq_config("out", evaluator=evaluator)
-        text = cfg.to_ini()
-        assert f"evaluator = {evaluator}\n" in text
-        assert RunConfig.from_ini(text) == cfg
-        assert RunConfig.from_ini(text).to_ini() == text
 
     def test_bundled_configs_parse(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -118,9 +108,8 @@ class TestRunConfig:
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         assert RunConfig.from_ini("[model]\nname = lq\n") == RunConfig()
-        assert RunConfig().evaluator == "exact"
-        cfg = RunConfig.from_ini("[model]\nname = mfg2d\n[sa]\nn_mc = 4\n")
-        assert cfg == RunConfig(model="mfg2d", n_mc=4)
+        cfg = RunConfig.from_ini("[model]\nname = mfg2d\n[sa]\nmax_steps = 4\n")
+        assert cfg == RunConfig(model="mfg2d", sa_max_steps=4)
 
     @pytest.mark.parametrize("model,section,key,named", [
         ("lq", "bogus", None, "[bogus]"),
@@ -312,6 +301,29 @@ class TestRunner:
         assert (tmp_path / "full" / "theta_final.csv").read_bytes() == \
             (tmp_path / "part" / "theta_final.csv").read_bytes()
 
+    @pytest.mark.parametrize("tag", [None, "mc"])
+    def test_resume_under_another_objective_exit_2(self, tmp_path, capsys,
+                                                   tag):
+        # a state without the tag was written when SA scored the Monte-Carlo
+        # estimate; continuing it would mix that best G with exact ones
+        cfg = tiny_lq_config(tmp_path / "out", max_iters=2,
+                             stop_rule="value")
+        run_algorithm1(cfg)
+        state = tmp_path / "out" / "resume_state.npz"
+        with np.load(state) as blob:
+            old = {k: blob[k] for k in blob.files if k != "sa_objective"}
+        if tag is not None:
+            old["sa_objective"] = tag
+        np.savez(state, **old)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        cfg.max_iters = 4
+        path = tmp_path / "tiny.cfg"
+        path.write_text(cfg.to_ini())
+        assert main(["solve", "--config", str(path), "--resume"]) == 2
+        assert "another SA objective" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert after == before
+
 
 def _ode_off_by_2e6(params, n_steps):
     times, eta = riccati_ode_solve(params, n_steps)
@@ -392,7 +404,6 @@ class TestCli:
         ("lq.cfg", "lattice", "h2_coarse", "0.03", "h2_coarse"),
         ("lq.cfg", "lattice", "h1_fine", "0.07", "h1_fine"),
         ("lq.cfg", "sa", "n_mc", "0", "n_mc"),
-        ("lq.cfg", "sa", "evaluator", "exakt", "evaluator"),
         ("lq.cfg", "sa", "m_bound", "-1", "m_bound"),
         ("lq.cfg", "iteration", "max_iter", "1", "iteration/max_iter"),
         ("lq.cfg", "model", "sigmaa", "3.0", "model/sigmaa"),
@@ -431,20 +442,6 @@ class TestCli:
         assert main(["solve", "--config", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["model"] == "lq"
-
-    def test_solve_tiny_run_monte_carlo(self, tiny_run, tmp_path, capsys):
-        # the paper's estimator still runs end to end behind the key, and
-        # scores SA otherwise than the default exact evaluator
-        cfg = tiny_lq_config(tmp_path / "out", evaluator="mc")
-        path = tmp_path / "tiny.cfg"
-        path.write_text(cfg.to_ini())
-        assert main(["solve", "--config", str(path)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["model"] == "lq"
-        assert report["sa_best_g"] != tiny_run[1].sa_best_g
-        copy = RunConfig.from_ini((tmp_path / "out" / "config.copy")
-                                  .read_text())
-        assert copy.evaluator == "mc"
 
     def test_solve_out_with_percent(self, tmp_path, capsys):
         cfg = tiny_lq_config(tmp_path / "unused")

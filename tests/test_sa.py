@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mfgsolver.errors import NonFiniteEvaluation
-from mfgsolver.lattice import StepSizes, build_lattice
+from mfgsolver.lattice import (StepSizes, build_lattice, chain_step,
+                               stencil_probabilities)
 from mfgsolver.network import (NetworkArchitecture, forward, random_theta,
                                zero_theta)
 from mfgsolver.problems import LqParams, lq_problem
@@ -201,26 +202,50 @@ def setup():
 
 class TestImprovement:
     def test_deterministic_in_seed(self, setup):
+        # the exact objective draws nothing, so a solve's evaluator gives the
+        # same values at every seed
         problem, steps, lat, m, arch = setup
         theta = zero_theta(arch)[None]
-        a = improvement(problem, lat, steps, m, arch, theta, 8, seed=3)
-        b = improvement(problem, lat, steps, m, arch, theta, 8, seed=3)
-        assert a == b
+        a = improvement(problem, lat, steps, m, arch, theta)
+        b = improvement(problem, lat, steps, m, arch, theta)
+        assert np.array_equal(a, b)
 
     def test_negative_of_cost(self, setup):
         # costs are nonnegative for the LQ model only up to the cross term;
         # with zero control the running cost is pure quadratic >= 0
         problem, steps, lat, m, arch = setup
-        g = improvement(problem, lat, steps, m, arch, zero_theta(arch)[None],
-                        8, seed=1)
+        g = improvement(problem, lat, steps, m, arch, zero_theta(arch)[None])
         assert np.isfinite(g)
+
+
+def mc_improvement(problem, lattice, steps, mbar_path, arch, thetas, n_mc,
+                   seed):
+    """Reference: the paper's Monte-Carlo estimate of the objective, (P,).
+
+    ``n_mc`` chains from each node per row of ``thetas``, all rows stepped
+    on the uniforms drawn from ``seed`` (common random numbers)."""
+    rng = substream(seed, "improve")
+    n_nodes = lattice.n_nodes
+    rows = np.arange(len(thetas))[:, None]
+    nodes = np.tile(np.repeat(np.arange(n_nodes), n_mc), (rows.shape[0], 1))
+    total = np.zeros(nodes.shape)
+    for n in range(steps.n_time):
+        t = n * steps.h2
+        layer = forward(arch, thetas, np.full(n_nodes, t),
+                        lattice.points).transpose(1, 0, 2)    # (N, P, k)
+        probs = stencil_probabilities(problem, lattice, steps, t,
+                                      mbar_path[n], layer)
+        cost = problem.running_cost(t, lattice.points[:, None, :],
+                                    mbar_path[n], layer)      # (N, P)
+        total += np.take(cost, nodes * cost.shape[1] + rows) * steps.h2
+        nodes = chain_step(lattice, probs, nodes, rng, rows)
+    total += problem.terminal_cost(lattice.points, mbar_path[-1])[nodes]
+    return -np.mean(total, axis=1)
 
 
 def sequential_improvement(problem, lattice, steps, mbar_path, arch, theta,
                            n_mc, seed):
     """Reference: one parameter vector, every chain stepped on its own."""
-    from mfgsolver.lattice import stencil_probabilities
-
     rng = substream(seed, "improve")
     n_nodes = lattice.n_nodes
     nodes = np.repeat(np.arange(n_nodes), n_mc)
@@ -257,45 +282,18 @@ def oracle_setup(request, setup):
 
 
 class TestExactEvaluator:
-    def test_ignores_seed_and_n_mc(self, oracle_setup):
-        problem, steps, lat, m, arch = oracle_setup
-        thetas = random_theta(arch, substream(4, "exact"), scale=3.0)[None]
-        a = improvement(problem, lat, steps, m, arch, thetas, 4, 9, "exact")
-        b = improvement(problem, lat, steps, m, arch, thetas, 1, 10, "exact")
-        assert np.array_equal(a, b)
-
-    def test_batched_equals_per_row_loop(self, oracle_setup):
-        # with more than one row einsum sums the stencil columns in another
-        # order, so the batch agrees with one-row calls to rounding only
-        problem, steps, lat, m, arch = oracle_setup
-        rng = substream(11, "exact-theta")
-        thetas = np.stack([random_theta(arch, rng, scale=3.0)
-                           for _ in range(5)])
-        batched = improvement(problem, lat, steps, m, arch, thetas, 4, 9,
-                              "exact")
-        one_row = [improvement(problem, lat, steps, m, arch, th[None], 4, 9,
-                               "exact")[0] for th in thetas]
-        np.testing.assert_allclose(batched, one_row, rtol=1e-12, atol=0)
-
     def test_monte_carlo_is_unbiased(self, oracle_setup):
-        # the chain's expected cost from t = 0 is what both estimate
+        # the chain's expected cost from t = 0 is what both compute
         problem, steps, lat, m, arch = oracle_setup
         rng = substream(12, "exact-theta")
         thetas = np.stack([random_theta(arch, rng, scale=3.0)
                            for _ in range(3)])
-        exact = improvement(problem, lat, steps, m, arch, thetas, 4, 0,
-                            "exact")
-        mc = np.array([improvement(problem, lat, steps, m, arch, thetas, 4,
-                                   seed) for seed in range(40)])
+        exact = improvement(problem, lat, steps, m, arch, thetas)
+        mc = np.array([mc_improvement(problem, lat, steps, m, arch, thetas, 4,
+                                      seed) for seed in range(40)])
         se = mc.std(axis=0, ddof=1) / np.sqrt(len(mc))
         assert np.all(se > 0)
         assert np.all(np.abs(mc.mean(axis=0) - exact) <= 3.0 * se)
-
-    def test_unknown_method_raises(self, oracle_setup):
-        problem, steps, lat, m, arch = oracle_setup
-        with pytest.raises(ValueError, match="exakt"):
-            improvement(problem, lat, steps, m, arch,
-                        zero_theta(arch)[None], 4, 0, "exakt")
 
     def test_nonfinite_raises(self, oracle_setup):
         problem, steps, lat, m, arch = oracle_setup
@@ -303,20 +301,22 @@ class TestExactEvaluator:
         bad[-1] = np.inf
         with pytest.raises(NonFiniteEvaluation):
             improvement(problem, lat, steps, bad, arch,
-                        zero_theta(arch)[None], 4, 0, "exact")
+                        zero_theta(arch)[None])
 
 
 class TestBatchedOracle:
+    # the batched Monte-Carlo reference, with rows on shared uniforms, is the
+    # per-chain loop, and kw_step reads its stack in the documented order
     @pytest.mark.parametrize("n_rows", [1, 5])
     def test_batched_equals_per_row_loop(self, oracle_setup, n_rows):
         problem, steps, lat, m, arch = oracle_setup
         rng = substream(11, "oracle-theta", n_rows)
         thetas = np.stack([random_theta(arch, rng, scale=3.0)
                            for _ in range(n_rows)])
-        batched = improvement(problem, lat, steps, m, arch, thetas, 4, 9)
+        batched = mc_improvement(problem, lat, steps, m, arch, thetas, 4, 9)
         assert batched.shape == (n_rows,)
-        one_row = [improvement(problem, lat, steps, m, arch, th[None], 4, 9)[0]
-                   for th in thetas]
+        one_row = [mc_improvement(problem, lat, steps, m, arch, th[None], 4,
+                                  9)[0] for th in thetas]
         reference = [sequential_improvement(problem, lat, steps, m, arch, th,
                                             4, 9) for th in thetas]
         assert np.array_equal(batched, one_row)
@@ -329,7 +329,8 @@ class TestBatchedOracle:
         sch = SaSchedule()
 
         def evaluator(thetas, seed):
-            return improvement(problem, lat, steps, m, arch, thetas, 2, seed)
+            return mc_improvement(problem, lat, steps, m, arch, thetas, 2,
+                                  seed)
 
         _, info = kw_step(theta, sch, ProjectionRegion(), evaluator, 0, 17)
         delta = sch.delta(0)
