@@ -4,8 +4,11 @@ loop (``run_chain``, around the ``chain_step`` kernel) and the backward
 recursion, which ``dp_backward_sweep`` runs with a min over the control grid,
 ``policy_value_sweep`` with one control per node, and
 ``policy_start_values`` with one control per node for each of a stack of
-policies at once (the exact objective of the SA stage).  The row-level
-structural checks live in ``checks``.
+policies at once (the exact objective of the SA stage).  Both loops run
+by blocks of time steps (``time_blocks``): per block they evaluate the
+controls, one stencil call and the running costs with a leading time axis,
+and per step they keep only what depends on the previous step.  The
+row-level structural checks live in ``checks``.
 
 Transition stencil: each node talks to itself, its axis neighbours
 x +- h1*e_i, and (in d >= 2) the diagonal neighbours x +- h1*e_i +- h1*e_j.
@@ -149,46 +152,73 @@ def build_lattice(problem, steps: StepSizes) -> Lattice:
     return Lattice(problem.domain_lower, problem.domain_upper, steps.h1)
 
 
+#: Budget of (time, node, row, control) evaluations per block of time steps.
+#: The time loops evaluate their controls, stencils and running costs once
+#: per block; a block of this size keeps the arrays small (under a few MB).
+BLOCK_EVALS = 16_384
+
+
+def time_blocks(n_time: int, width: int) -> list:
+    """The [start, stop) blocks of the time steps 0..n_time-1, ascending,
+    each of ``BLOCK_EVALS // width`` steps (at least one; the last may be
+    shorter), where ``width`` counts the evaluations of one step."""
+    size = max(1, BLOCK_EVALS // width)
+    return [(start, min(start + size, n_time))
+            for start in range(0, n_time, size)]
+
+
 # ---------------------------------------------------------------------------
 # Transition probabilities
 # ---------------------------------------------------------------------------
 
 def stencil_probabilities(problem, lattice: Lattice, steps: StepSizes,
-                          t: float, mbar: np.ndarray,
+                          t, mbar: np.ndarray,
                           alphas: np.ndarray) -> np.ndarray:
     """Transition probabilities over the stencil for a batch of controls.
 
-    ``mbar`` is the (d,) population mean at time ``t``.  ``alphas`` has
-    shape (..., k) broadcast against the node axis: the common case is
-    (n_nodes, n_ctrl, k) with nodes from ``lattice.points``.
-    Returns probabilities of shape (n_nodes, ..., n_off) aligned with
-    ``lattice.stencil_offsets()`` (self first, then +e_i/-e_i per axis,
-    then the diagonal quadruples per pair).
+    At one time ``t``, ``mbar`` is the (d,) population mean and ``alphas``
+    has shape (n_nodes, ..., k) with nodes from ``lattice.points``: the
+    common case is (n_nodes, n_ctrl, k).  For a block of times, ``t`` is
+    (B,), ``mbar`` (B, d) and ``alphas`` (B, n_nodes, ..., k); the model
+    callbacks then see ``t`` and ``mbar`` with singleton axes that broadcast
+    against the points, and the diffusion matrix is taken at every time.
+    Returns probabilities of shape ``alphas.shape[:-1] + (n_off,)`` aligned
+    with ``lattice.stencil_offsets()`` (self first, then +e_i/-e_i per
+    axis, then the diagonal quadruples per pair).  A negative or NaN entry
+    raises NegativeProbability naming the first such time of the block.
     """
+    one = np.ndim(t) == 0
+    if one:  # a block of one time
+        t, mbar, alphas = [t], np.asarray(mbar)[None], alphas[None]
     d = lattice.dims
     h1, h2 = steps.h1, steps.h2
-    x = lattice.points
-    extra = alphas.ndim - 2  # batch axes beyond (node, k)
-    xb = x.reshape((x.shape[0],) + (1,) * extra + (d,))
-    b = np.asarray(problem.drift(t, xb, mbar, alphas), dtype=float)
-    b = np.broadcast_to(b, alphas.shape[:-1] + (d,)) if b.shape != alphas.shape[:-1] + (d,) else b
-    a = problem.diffusion_matrix(t)
+    t = np.asarray(t, dtype=float)
+    shape = t.shape + (1,) * (alphas.ndim - 2)  # against alphas.shape[:-1]
+    x = lattice.points.reshape((1, lattice.n_nodes)
+                               + (1,) * (alphas.ndim - 3) + (d,))
+    b = np.asarray(problem.drift(t.reshape(shape), x,
+                                 np.reshape(mbar, shape + (d,)), alphas),
+                   dtype=float)
+    b = np.broadcast_to(b, alphas.shape[:-1] + (d,))
+    a = np.stack([problem.diffusion_matrix(s) for s in t.tolist()]
+                 ).reshape(shape + (d, d))
 
     n_off = 1 + 2 * d + 2 * d * (d - 1)
     probs = np.empty(b.shape[:-1] + (n_off,))
     scale = h2 / h1 ** 2
-    off_diag_abs = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
+    off_diag_abs = (np.sum(np.abs(a), axis=-1)
+                    - np.abs(np.diagonal(a, axis1=-2, axis2=-1)))
     pos = 1
     for i in range(d):
-        base = 0.5 * a[i, i] - 0.5 * off_diag_abs[i]
+        base = 0.5 * a[..., i, i] - 0.5 * off_diag_abs[..., i]
         bp = np.maximum(b[..., i], 0.0)
         bm = np.maximum(-b[..., i], 0.0)
         probs[..., pos] = (base + bp * h1) * scale
         probs[..., pos + 1] = (base + bm * h1) * scale
         pos += 2
     for i, j in itertools.combinations(range(d), 2):
-        ap = max(a[i, j], 0.0)
-        am = max(-a[i, j], 0.0)
+        ap = np.maximum(a[..., i, j], 0.0)
+        am = np.maximum(-a[..., i, j], 0.0)
         probs[..., pos] = 0.5 * ap * scale      # ++
         probs[..., pos + 1] = 0.5 * ap * scale  # --
         probs[..., pos + 2] = 0.5 * am * scale  # +-
@@ -196,36 +226,36 @@ def stencil_probabilities(problem, lattice: Lattice, steps: StepSizes,
         pos += 4
     others = np.sum(probs[..., 1:], axis=-1)
     probs[..., 0] = 1.0 - others
-    low = probs.min()
-    if not low >= _NEG_TOL:  # a NaN fails this test too
+    if not probs.min() >= _NEG_TOL:  # a NaN fails this test too
+        low = probs.reshape(len(t), -1).min(axis=1)
+        first = int(np.argmax(~(low >= _NEG_TOL)))
         raise NegativeProbability(
-            f"stepsizes infeasible: probability {low:.3e} at t={t}")
-    return probs
+            f"stepsizes infeasible: probability {low[first]:.3e} "
+            f"at t={t[first]}")
+    return probs[0] if one else probs
 
 
-def chain_step(lattice: Lattice, probs: np.ndarray, nodes: np.ndarray, rng,
-               rows: np.ndarray | None = None) -> np.ndarray:
+def chain_step(lattice: Lattice, probs: np.ndarray, nodes: np.ndarray,
+               rng) -> np.ndarray:
     """Move every chain one step by inverse-CDF sampling of its stencil row.
 
-    ``probs`` holds the stencil probabilities per node, (n_nodes, n_off), or
-    per node and row, (n_nodes, P, n_off), in which case ``rows`` (P, 1)
-    picks each chain's row of ``nodes`` (P, M).  One uniform u is drawn per
-    chain of the last axis and shared by all rows.  Returns the new nodes.
-    Each move is ``argmax(cum > u)``: the count of columns ``<= u`` of the
-    running maximum of ``cum`` (-1e-12 entries make it dip), 0 if all are.
-    Columns after the last one with mass in any row repeat its cumulative
-    value, so they change no count and are left out.
+    ``probs`` holds the stencil probabilities per node, (n_nodes, n_off),
+    and ``nodes`` the flat nodes of the chains, (..., M).  One uniform u is
+    drawn per chain of the last axis and shared along the leading axes.
+    Returns the new nodes.  Each move is ``argmax(cum > u)``: the count of
+    columns ``<= u`` of the running maximum of ``cum`` (-1e-12 entries make
+    it dip), 0 if all are.  Columns after the last one with mass in any row
+    repeat its cumulative value, so they change no count and are left out.
     """
     n_off = probs.shape[-1]
-    mass = probs.reshape(-1, n_off).any(axis=0)
+    mass = probs.any(axis=0)
     n_used = n_off - int(np.argmax(mass[::-1]))
-    cum = np.maximum.accumulate(np.cumsum(probs[..., :n_used], axis=-1),
+    cum = np.maximum.accumulate(np.cumsum(probs[:, :n_used], axis=-1),
                                 axis=-1)
-    flat = nodes if rows is None else nodes * probs.shape[1] + rows
     u = rng.uniform(size=nodes.shape[-1])
     offset = np.zeros(nodes.shape, dtype=np.intp)
-    for col in cum.reshape(-1, n_used).T.copy():
-        offset += np.take(col, flat) <= u
+    for col in cum.T.copy():
+        offset += np.take(col, nodes) <= u
     offset[offset == n_used] = 0
     return np.take(lattice.neighbor_indices().ravel(), nodes * n_off + offset)
 
@@ -234,22 +264,27 @@ def run_chain(problem, lattice: Lattice, steps: StepSizes, controls,
               mbar_path: np.ndarray, nodes: np.ndarray, rng, states,
               applied=None) -> None:
     """Run chains from the flat ``nodes`` (M,) by ``chain_step`` on ``rng``,
-    under a (n_time, n_nodes, k) grid field or a callable ``(t, points) ->
-    (n_nodes, k)``.  ``states`` (n_time+1, M, d) receives their points and
-    ``applied`` (n_time, M, k), if given, the control each chain applies."""
+    under a (n_time, n_nodes, k) grid field or a callable ``(ts, points) ->
+    (B, n_nodes, k)`` of the controls over the lattice points at a block of
+    times.  Controls and stencils are evaluated once per block of
+    ``time_blocks``.  ``states`` (n_time+1, M, d) receives the chains'
+    points and ``applied`` (n_time, M, k), if given, the control each chain
+    applies."""
     if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
     states[0] = lattice.points[nodes]
-    for n in range(steps.n_time):
-        t = n * steps.h2
-        layer = controls(t, lattice.points) if callable(controls) \
-            else controls[n]
-        probs = stencil_probabilities(problem, lattice, steps, t,
-                                      mbar_path[n], layer[:, None, :])[:, 0]
-        if applied is not None:
-            applied[n] = layer[nodes]
-        nodes = chain_step(lattice, probs, nodes, rng)
-        states[n + 1] = lattice.points[nodes]
+    for start, stop in time_blocks(steps.n_time, lattice.n_nodes):
+        ts = np.arange(start, stop) * steps.h2
+        layers = controls(ts, lattice.points) if callable(controls) \
+            else controls[start:stop]
+        probs = stencil_probabilities(problem, lattice, steps, ts,
+                                      mbar_path[start:stop],
+                                      layers[:, :, None, :])[:, :, 0]
+        for n, layer, step_probs in zip(range(start, stop), layers, probs):
+            if applied is not None:
+                applied[n] = layer[nodes]
+            nodes = chain_step(lattice, step_probs, nodes, rng)
+            states[n + 1] = lattice.points[nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +300,19 @@ def control_grid(problem, points_per_axis: int = 16) -> np.ndarray:
 
 
 def _backward(problem, lattice: Lattice, steps: StepSizes,
-              mbar_path: np.ndarray, control_layer, field=None,
+              mbar_path: np.ndarray, control_layer, width: int, field=None,
               table: bool = True) -> np.ndarray:
     """The backward recursion of every sweep, for R value functions at once:
     v_n[:, r] = min_c [E_{r,c} v_{n+1}[:, r] + f(., c) h2] over the
-    (n_nodes, R, C, k) layer ``control_layer(t)``, with one stencil call per
-    time step for all rows.  For R = 1 the first minimum wins and goes to
-    ``field`` (n_time, n_nodes, k) if given.  Returns the (n_time+1,
-    n_nodes, R) value table, or, without ``table``, its t = 0 slice
-    (n_nodes, R), holding two slices at a time instead of the table."""
+    (B, n_nodes, R, C, k) layer ``control_layer(ts)`` of the times ``ts``
+    (B,) of a block.  The controls, the stencil and the running cost are
+    evaluated once per block of ``time_blocks(n_time, width)``, with
+    ``width`` = n_nodes * R * C; each step keeps only the gather, the
+    contraction and the min (skipped for C = 1).  For R = 1 the first
+    minimum wins and goes to ``field`` (n_time, n_nodes, k) if given.
+    Returns the (n_time+1, n_nodes, R) value table, or, without ``table``,
+    its t = 0 slice (n_nodes, R), holding two slices at a time instead of
+    the table."""
     if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
     neigh = lattice.neighbor_indices()
@@ -281,23 +320,29 @@ def _backward(problem, lattice: Lattice, steps: StepSizes,
     points = lattice.points[:, None, None, :]
     v = problem.terminal_cost(lattice.points, mbar_path[-1])[:, None]
     values = None
-    for n in range(steps.n_time - 1, -1, -1):
-        t = n * steps.h2
-        alphas = control_layer(t)
-        if n == steps.n_time - 1:
-            v = np.broadcast_to(v, (lattice.n_nodes, alphas.shape[1]))
+    for start, stop in reversed(time_blocks(steps.n_time, width)):
+        ts = np.arange(start, stop) * steps.h2
+        alphas = control_layer(ts)
+        if stop == steps.n_time:
+            v = np.broadcast_to(v, (lattice.n_nodes, alphas.shape[2]))
             if table:
                 values = np.empty((steps.n_time + 1,) + v.shape)
                 values[-1] = v
-        probs = stencil_probabilities(problem, lattice, steps, t,
-                                      mbar_path[n], alphas)
-        q = np.einsum("nrco,nor->nrc", probs, v[neigh])
-        q += problem.running_cost(t, points, mbar_path[n], alphas) * steps.h2
-        v = q.min(axis=2)
-        if values is not None:
-            values[n] = v
-        if field is not None:
-            field[n] = alphas[nodes, 0, np.argmin(q[:, 0], axis=1)]
+        mbar = mbar_path[start:stop]
+        probs = stencil_probabilities(problem, lattice, steps, ts, mbar,
+                                      alphas)
+        costs = np.broadcast_to(problem.running_cost(
+            ts[:, None, None, None], points, mbar[:, None, None, None],
+            alphas) * steps.h2, alphas.shape[:-1])
+        for b in range(stop - start - 1, -1, -1):
+            q = np.einsum("nrco,nor->nrc", probs[b], v[neigh])
+            q += costs[b]
+            v = q[..., 0] if q.shape[2] == 1 else q.min(axis=2)
+            if values is not None:
+                values[start + b] = v
+            if field is not None:
+                field[start + b] = alphas[b][nodes, 0,
+                                             np.argmin(q[:, 0], axis=1)]
     return values if table else v
 
 
@@ -310,32 +355,36 @@ def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
     controls = np.asarray(controls, dtype=float)
     if controls.size == 0:
         raise EmptyControlGrid("control grid is empty")
-    alphas = np.broadcast_to(controls,
-                             (lattice.n_nodes, 1) + controls.shape)
+    layer = (lattice.n_nodes, 1) + controls.shape
     field = np.empty((steps.n_time, lattice.n_nodes, controls.shape[1]))
-    values = _backward(problem, lattice, steps, mbar_path, lambda t: alphas,
-                       field)
+    values = _backward(problem, lattice, steps, mbar_path,
+                       lambda ts: np.broadcast_to(controls, ts.shape + layer),
+                       lattice.n_nodes * len(controls), field)
     return values[..., 0], field
 
 
 def policy_value_sweep(problem, lattice: Lattice, steps: StepSizes,
                        mbar_path: np.ndarray, control_fn) -> np.ndarray:
     """Backward policy evaluation under the (n_time+1, d) mean path: the
-    recursion with the one control per node of ``control_fn(t, points)``."""
+    recursion with the one control per node of ``control_fn(ts, points)``,
+    (B, n_nodes, k) at a block of times ``ts`` (B,)."""
     return _backward(problem, lattice, steps, mbar_path,
-                     lambda t: control_fn(t, lattice.points)[:, None, None, :]
-                     )[..., 0]
+                     lambda ts: control_fn(ts, lattice.points)
+                     [:, :, None, None, :], lattice.n_nodes)[..., 0]
 
 
 def policy_start_values(problem, lattice: Lattice, steps: StepSizes,
-                        mbar_path: np.ndarray, control_rows) -> np.ndarray:
-    """V(0, .) of R policies at once, shape (n_nodes, R): the recursion with
-    the controls ``control_rows(t, points)``, (R, n_nodes, k), one per row
-    and node.  Column r is the t = 0 row of ``policy_value_sweep`` under the
-    r-th policy, computed without holding the value table."""
+                        mbar_path: np.ndarray, control_rows,
+                        n_rows: int) -> np.ndarray:
+    """V(0, .) of ``n_rows`` = R policies at once, shape (n_nodes, R): the
+    recursion with the controls ``control_rows(ts, points)``, (R, B,
+    n_nodes, k) at a block of times ``ts`` (B,), one per row, time and node.
+    Column r is the t = 0 row of ``policy_value_sweep`` under the r-th
+    policy, computed without holding the value table."""
     return _backward(problem, lattice, steps, mbar_path,
-                     lambda t: control_rows(t, lattice.points)
-                     .transpose(1, 0, 2)[:, :, None, :], table=False)
+                     lambda ts: control_rows(ts, lattice.points)
+                     .transpose(1, 2, 0, 3)[:, :, :, None, :],
+                     lattice.n_nodes * n_rows, table=False)
 
 
 def validate_stepsizes(problem, lattice: Lattice, steps: StepSizes,

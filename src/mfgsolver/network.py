@@ -143,8 +143,16 @@ def forward(arch: NetworkArchitecture, theta: np.ndarray, t, x) -> np.ndarray:
 
 
 def feedback(arch: NetworkArchitecture, theta: np.ndarray):
-    """The feedback policy (t, x) -> control of a (n, d) batch at one t."""
-    return lambda t, x: forward(arch, theta, np.full(len(x), t), x)
+    """The feedback policy (t, x) -> control of the (n, d) points ``x`` at
+    one time ``t``, shape theta.shape[:-1] + (n, k), or at each time of a
+    block ``t`` (B,), shape theta.shape[:-1] + (B, n, k), from one forward
+    pass over all (time, point) inputs."""
+    def policy(t, x):
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return forward(arch, theta, t[..., None],
+                       np.broadcast_to(x, t.shape + x.shape))
+    return policy
 
 
 def fit_loss(arch: NetworkArchitecture, theta: np.ndarray,

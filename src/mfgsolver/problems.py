@@ -8,10 +8,13 @@ Callback conventions
 --------------------
 All callbacks are vectorized over leading axes: ``x`` has shape ``(..., d)``,
 ``alpha`` has shape ``(..., k)``, and scalar outputs have shape ``(...,)``.
-The population enters every callback as ``mbar``, the ``(d,)`` mean of the
-population law at time ``t`` (the first moment of the current slice); each
-model projects from it whatever it needs.  ``diffusion(t, x)`` returns a
-``(d, d)`` matrix (state-independent for both benchmarks).
+The population enters every callback as ``mbar``, the mean of the
+population law at time ``t`` (the first moment of the current slice), of
+shape ``(..., d)``: ``(d,)`` at one time, or with leading axes that
+broadcast against ``x`` when a block of times is evaluated at once, in which
+case ``t`` has the same leading axes.  Each model projects from ``mbar``
+whatever it needs.  ``diffusion(t, x)`` returns a ``(d, d)`` matrix
+(state-independent for both benchmarks) at one scalar time.
 """
 
 from __future__ import annotations
@@ -105,20 +108,20 @@ def lq_problem(
     p = params
 
     def drift(t, x, mbar, alpha):
-        u = mbar[0]
+        u = mbar[..., :1]
         return p.a * (u - x) + alpha
 
     def diffusion(t, x):
         return np.array([[p.sigma]])
 
     def running_cost(t, x, mbar, alpha):
-        u = mbar[0]
+        u = mbar[..., 0]
         al = alpha[..., 0]
         dev = u - x[..., 0]
         return 0.5 * al ** 2 - p.q * al * dev + 0.5 * p.epsilon * dev ** 2
 
     def terminal_cost(x, mbar):
-        u = mbar[0]
+        u = mbar[..., 0]
         dev = u - x[..., 0]
         return 0.5 * p.c * dev ** 2
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, NegativeProbability, SolverError
 from .lattice import (StepSizes, build_lattice, control_grid,
-                      dp_backward_sweep, policy_value_sweep,
+                      dp_backward_sweep, policy_value_sweep, time_blocks,
                       validate_stepsizes, value_table_to_csv,
                       control_field_to_csv)
 from .measures import (average_update, fixed_point_gap, induced_measure,
@@ -511,8 +511,9 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                        u_net)
     value_table_to_csv(os.path.join(out, "value_fine.csv"), lat_f, steps_f,
                        v_prev)
-    fine_field = np.stack([policy(n * steps_f.h2, lat_f.points)
-                           for n in range(steps_f.n_time)])
+    fine_field = np.concatenate([
+        policy(np.arange(start, stop) * steps_f.h2, lat_f.points)
+        for start, stop in time_blocks(steps_f.n_time, lat_f.n_nodes)])
     control_field_to_csv(os.path.join(out, "controls.csv"), lat_f, steps_f,
                          fine_field)
     measure_path_to_csv(m_bar, steps_c, os.path.join(out, "measures.csv"))

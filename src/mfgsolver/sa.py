@@ -12,7 +12,8 @@ the (2r+1, r) stack [theta, theta + delta e_1, theta - delta e_1, ...],
 with one seed for all rows, so a noisy evaluator gets common random
 numbers.  The solve's evaluator is ``improvement``, the objective itself:
 one backward recursion of the chain over the stack
-(``lattice.policy_start_values``).  It draws nothing and ignores the seed,
+(``lattice.policy_start_values``), with one forward pass of the stack's
+networks per block of time steps.  It draws nothing and ignores the seed,
 so the finite differences carry no sampling noise.  It replaces the paper's
 Monte-Carlo estimate of the same expectation (chains from every node),
 which is kept in the tests as the reference it agrees with in mean.
@@ -112,10 +113,11 @@ def improvement(problem, lattice, steps, mbar_path, arch,
     from t = 0, -mean over nodes of V_theta(0, .), for each row of
     ``thetas`` under the network of that row and the (n_time + 1, d) mean
     path ``mbar_path``.  One backward recursion of the chain for all rows
-    (``lattice.policy_start_values``).  Returns shape (P,).
+    (``lattice.policy_start_values``), whose controls come from one forward
+    pass of all rows per block of time steps.  Returns shape (P,).
     """
     costs = policy_start_values(problem, lattice, steps, mbar_path,
-                                feedback(arch, thetas))
+                                feedback(arch, thetas), len(thetas))
     g = -np.mean(costs, axis=0)
     if not np.all(np.isfinite(g)):
         raise NonFiniteEvaluation("improvement evaluation is not finite")

@@ -77,8 +77,8 @@ def test_criterion_03_dp_monte_carlo_agreement():
     alpha = np.array([0.5, 0.5])
     field = np.broadcast_to(alpha, (steps.n_time, lat.n_nodes, 2)).copy()
 
-    def control_fn(t, points):
-        return np.broadcast_to(alpha, (points.shape[0], 2))
+    def control_fn(ts, points):
+        return np.broadcast_to(alpha, ts.shape + (points.shape[0], 2))
 
     values = policy_value_sweep(problem, lat, steps, m, control_fn)
     x0 = np.array([0.4, 0.4])

@@ -196,9 +196,8 @@ class TestDp:
         ctrls = control_grid(problem, 9)
         values, field = dp_backward_sweep(problem, lat, steps, m, ctrls)
 
-        def control_fn(t, points):
-            n = int(round(t / steps.h2))
-            return field[n]
+        def control_fn(ts, points):
+            return field[np.rint(ts / steps.h2).astype(int)]
 
         v2 = policy_value_sweep(problem, lat, steps, m, control_fn)
         np.testing.assert_allclose(v2, values, atol=1e-12)
@@ -230,6 +229,58 @@ class TestBatchProbabilities:
                 np.testing.assert_allclose(batch[node, c], single, atol=1e-15)
 
 
+def time_varying_problem(spike_at=None):
+    """The 2-D model with a drift and a correlated diffusion that change
+    with t; at ``spike_at`` the diffusion jumps so that the self-loop goes
+    negative at that time only."""
+    problem = mfg2d_problem()
+
+    def drift(t, x, m, a):
+        return (1.0 + np.asarray(t)[..., None]) * x - a + 0.1 * m
+
+    def diffusion(t, x):
+        scale = 2.5 if t == spike_at else 0.3 + 0.2 * t
+        return scale * np.array([[1.0, 0.3], [0.0, 1.0]])
+
+    problem.drift, problem.diffusion = drift, diffusion
+    return problem
+
+
+class TestTimeBlock:
+    """A block of times gives, step by step, the probabilities of a call
+    at each time, and names the first infeasible time of the block."""
+
+    def test_block_equals_per_step_calls(self, m2d):
+        _, steps, lat = m2d
+        problem = time_varying_problem()
+        rng = np.random.default_rng(6)
+        ts = np.arange(3, 9) * steps.h2
+        means = rng.uniform(0, 1, (len(ts), 2))
+        alphas = rng.uniform(0, 1.5, (len(ts), lat.n_nodes, 4, 2))
+        block = stencil_probabilities(problem, lat, steps, ts, means, alphas)
+        assert block.shape == (len(ts), lat.n_nodes, 4, 9)
+        for b, t in enumerate(ts.tolist()):
+            assert np.array_equal(block[b], stencil_probabilities(
+                problem, lat, steps, t, means[b], alphas[b]))
+
+    def test_names_the_first_infeasible_time(self, m2d):
+        _, steps, lat = m2d
+        ts = np.arange(3, 9) * steps.h2
+        problem = time_varying_problem(spike_at=ts[2])
+        means = np.full((len(ts), 2), 0.5)
+        alphas = np.full((len(ts), lat.n_nodes, 1, 2), 0.5)
+        for b in (0, 1, 3, 4, 5):
+            stencil_probabilities(problem, lat, steps, ts[b], means[b],
+                                  alphas[b])
+        with pytest.raises(NegativeProbability) as step:
+            stencil_probabilities(problem, lat, steps, ts[2], means[2],
+                                  alphas[2])
+        with pytest.raises(NegativeProbability) as block:
+            stencil_probabilities(problem, lat, steps, ts, means, alphas)
+        assert str(block.value) == str(step.value)
+        assert str(block.value).endswith(f"at t={ts[2]}")
+
+
 class TestChainStep:
     """The shared kernel draws the same moves as gathering each chain's
     stencil row first and sampling its cumulative sum."""
@@ -249,6 +300,8 @@ class TestChainStep:
         assert np.array_equal(got, expected)
 
     def test_rows_share_uniforms(self, m2d):
+        """Chains of a (P, M) node array share one uniform per column; with
+        P tables folded into the node axis that steps P rows at once."""
         problem, steps, lat = m2d
         rng = np.random.default_rng(5)
         alphas = rng.uniform(0, 1.5, size=(lat.n_nodes, 3, 2))
@@ -256,7 +309,10 @@ class TestChainStep:
                                       np.array([0.3, 0.7]), alphas)
         nodes = rng.integers(lat.n_nodes, size=(3, 200))
         rows = np.arange(3)[:, None]
-        got = chain_step(lat, probs, nodes, np.random.default_rng(9), rows)
+        neighbors, folded, flat = fold_rows(lat.neighbor_indices(), probs,
+                                            nodes, rows)
+        got = chain_step(FixedStencil(neighbors), folded, flat,
+                         np.random.default_rng(9))
         u = np.random.default_rng(9).uniform(size=200)
         for r in range(3):
             cum = np.cumsum(probs[nodes[r], r], axis=1)
@@ -287,10 +343,21 @@ class FixedStencil:
 
 
 def reference_chain_step(neighbors, probs, nodes, u, rows=None):
-    """The gather-then-argmax step the kernel replaced."""
+    """The gather-then-argmax step the kernel replaced.  With ``rows`` (P,
+    1), ``probs`` is (n_nodes, P, n_off) and chain j of row r of ``nodes``
+    (P, M) samples its node's table of row r."""
     cum = np.cumsum(probs, axis=-1)
     cum = cum[nodes] if rows is None else cum[nodes, rows]
     return neighbors[nodes, np.argmax(cum > u[:, None], axis=-1)]
+
+
+def fold_rows(neighbors, probs, nodes, rows):
+    """A (n_nodes, P, n_off) table as the (n_nodes * P, n_off) table of
+    ``chain_step``: row r of node i is the pseudo-node i * P + r, whose
+    targets are those of node i.  Returns (neighbours, table, flat nodes)."""
+    n_rows = probs.shape[1]
+    return (np.repeat(neighbors, n_rows, axis=0),
+            probs.reshape(-1, probs.shape[-1]), nodes * n_rows + rows)
 
 
 def tricky_table(rng, n_nodes, n_rows, n_off):
@@ -323,7 +390,7 @@ def tricky_uniforms(rng, cum, nodes, rows):
 
 class TestChainStepOracle:
     """The column-count kernel equals ``argmax(cum > u)`` on every finite
-    table."""
+    table; P rows of tables are stepped folded into the node axis."""
 
     @pytest.mark.parametrize("n_off", [3, 5, 9])
     @pytest.mark.parametrize("n_rows", [None, 1, 4])
@@ -339,8 +406,14 @@ class TestChainStepOracle:
             rows = np.arange(n_rows)[:, None]
             nodes = rng.integers(n_nodes, size=(n_rows, n_chains))
         u = tricky_uniforms(rng, np.cumsum(probs, axis=-1), nodes, rows)
-        got = chain_step(FixedStencil(neighbors), probs, nodes,
-                         FixedUniforms(u), rows)
+        if rows is None:
+            got = chain_step(FixedStencil(neighbors), probs, nodes,
+                             FixedUniforms(u))
+        else:
+            folded_neighbors, folded, flat = fold_rows(neighbors, probs,
+                                                       nodes, rows)
+            got = chain_step(FixedStencil(folded_neighbors), folded, flat,
+                             FixedUniforms(u))
         expected = reference_chain_step(neighbors, probs, nodes, u, rows)
         assert np.array_equal(got, expected)
         assert got.shape == nodes.shape
@@ -369,8 +442,10 @@ class TestChainStepOracle:
         rows = np.arange(n_rows)[:, None]
         nodes = rng.integers(n_nodes, size=(n_rows, n_chains))
         u = tricky_uniforms(rng, np.cumsum(probs, axis=-1), nodes, rows)
-        got = chain_step(FixedStencil(neighbors), probs, nodes,
-                         FixedUniforms(u), rows)
+        folded_neighbors, folded, flat = fold_rows(neighbors, probs, nodes,
+                                                   rows)
+        got = chain_step(FixedStencil(folded_neighbors), folded, flat,
+                         FixedUniforms(u))
         assert np.array_equal(got, reference_chain_step(neighbors, probs,
                                                         nodes, u, rows))
 

@@ -2,22 +2,33 @@
 in ``lattice``.
 
 The references below are the four loops the solver ran before the
-recursion and the chain loop were shared: a DP sweep over the control grid,
-a policy sweep under one feedback control, the induced-measure simulation
-and the chain rollout.  The shared code must give the same arrays bit for
-bit, on the shipped ``lq`` and ``mfg2d`` setups, at the coarse and the fine
-spacing, for grid and callable controls.  The exact SA evaluator, the same
-recursion over a stack of parameter rows, must give the policy sweep's
-value at t = 0 for each row.
+recursion and the chain loop were shared, one time step at a time: a DP
+sweep over the control grid, a policy sweep under one feedback control, the
+induced-measure simulation and the chain rollout.  The shared code, which
+evaluates controls, stencils and costs once per block of time steps, must
+give the same arrays on the shipped ``lq`` and ``mfg2d`` setups, at the
+coarse and the fine spacing, for grid and callable controls, and for blocks
+of one step, of a length that does not divide the step count, and of the
+whole horizon.  The exact SA evaluator, the same recursion over a stack of
+parameter rows, must give the policy sweep's value at t = 0 for each row.
+
+Grid fields match bit for bit everywhere, and so do network policies on
+``mfg2d``.  On ``lq`` a network policy matches to 1e-12 relative: a block
+forwards B * n_nodes (t, x) inputs in one gemm, and BLAS rounds a product
+with two inputs differently when the batch is taller, so the controls can
+move in the last ulp.
 """
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mfgsolver import lattice as lattice_module
 from mfgsolver.lattice import (StepSizes, chain_step, dp_backward_sweep,
-                               policy_value_sweep, stencil_probabilities)
+                               policy_start_values, policy_value_sweep,
+                               stencil_probabilities)
 from mfgsolver.measures import induced_measure
 from mfgsolver.network import feedback, random_theta
 from mfgsolver.runner import RunConfig
@@ -116,10 +127,11 @@ def ref_simulate_chain(problem, lattice, steps, controls, mbar_path, n_paths,
     for grid in ("coarse", "fine")],
     ids=lambda p: f"{p[0][:-4]}-{p[1]}")
 def setup(request):
-    """(problem, steps, lattice, control grid, random mean path, the
-    reference DP field, two random network policies) of a shipped config at
-    one spacing.  The fine setups stop after 100 of their time steps, which
-    keeps them affordable and changes nothing in what is compared."""
+    """The setup of a shipped config at one spacing: problem, steps,
+    lattice, control grid, a random mean path, the reference DP field,
+    architecture, two random parameter vectors and their network policies.
+    The fine setups stop after 100 of their time steps, which keeps them
+    affordable and changes nothing in what is compared."""
     name, grid = request.param
     with open(os.path.join(CONFIG_DIR, name)) as fh:
         problem, steps_c, lat_c, steps_f, lat_f, controls, arch, _ = \
@@ -130,66 +142,173 @@ def setup(request):
     mbar_path = rng.uniform(problem.domain_lower, problem.domain_upper,
                             (steps.n_time + 1, problem.dim))
     _, field = ref_dp_backward_sweep(problem, lat, steps, mbar_path, controls)
-    policies = [feedback(arch, random_theta(arch, rng, scale=s))
-                for s in (0.5, 2.0)]
-    return problem, steps, lat, controls, mbar_path, field, policies
+    thetas = np.stack([random_theta(arch, rng, scale=s) for s in (0.5, 2.0)])
+    return SimpleNamespace(
+        model=name[:-4], grid=grid, problem=problem, steps=steps, lat=lat,
+        controls=controls, mbar_path=mbar_path, field=field, arch=arch,
+        thetas=thetas, policies=[feedback(arch, theta) for theta in thetas])
+
+
+def grid_control(field, steps):
+    """The policy of a grid field, at one time or at a block of times."""
+    return lambda t, points: field[np.rint(np.asarray(t) / steps.h2)
+                                   .astype(int)]
+
+
+def assert_policy_match(s, got, expected, network):
+    """Bit for bit, but a network policy on lq to 1e-12 relative."""
+    if network and s.model == "lq":
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    else:
+        assert np.array_equal(got, expected)
 
 
 def test_dp_sweep_equals_reference(setup):
-    problem, steps, lat, controls, mbar_path, _, _ = setup
-    values, field = dp_backward_sweep(problem, lat, steps, mbar_path,
-                                      controls)
-    ref_values, ref_field = ref_dp_backward_sweep(problem, lat, steps,
-                                                  mbar_path, controls)
+    s = setup
+    values, field = dp_backward_sweep(s.problem, s.lat, s.steps, s.mbar_path,
+                                      s.controls)
+    ref_values, ref_field = ref_dp_backward_sweep(
+        s.problem, s.lat, s.steps, s.mbar_path, s.controls)
     assert np.array_equal(values, ref_values)
     assert np.array_equal(field, ref_field)
 
 
 def test_policy_sweep_equals_reference(setup):
-    problem, steps, lat, _, mbar_path, field, policies = setup
+    s = setup
+    for policy, network in ((grid_control(s.field, s.steps), False),
+                            *((p, True) for p in s.policies)):
+        assert_policy_match(
+            s, policy_value_sweep(s.problem, s.lat, s.steps, s.mbar_path,
+                                  policy),
+            ref_policy_value_sweep(s.problem, s.lat, s.steps, s.mbar_path,
+                                   policy), network)
 
-    def grid_control(t, points):
-        return field[int(round(t / steps.h2))]
 
-    for policy in (grid_control, *policies):
-        assert np.array_equal(
-            policy_value_sweep(problem, lat, steps, mbar_path, policy),
-            ref_policy_value_sweep(problem, lat, steps, mbar_path, policy))
+def test_policy_sweep_calls_the_policy_once_per_step(setup, monkeypatch):
+    """Block contract: each call gets a block of consecutive times, the
+    blocks run from the last one back, and together they hold every step's
+    time n * h2 exactly once; at the default budget and at 7 steps per
+    block."""
+    s = setup
+    for budget in (lattice_module.BLOCK_EVALS, 7 * s.lat.n_nodes):
+        monkeypatch.setattr(lattice_module, "BLOCK_EVALS", budget)
+        blocks = []
 
+        def recording(ts, points):
+            blocks.append(ts.tolist())
+            return s.policies[0](ts, points)
 
-def test_policy_sweep_calls_the_policy_once_per_step(setup):
-    problem, steps, lat, _, mbar_path, _, policies = setup
-    times = []
-
-    def recording(t, points):
-        times.append(t)
-        return policies[0](t, points)
-
-    policy_value_sweep(problem, lat, steps, mbar_path, recording)
-    assert times == [n * steps.h2 for n in range(steps.n_time - 1, -1, -1)]
+        policy_value_sweep(s.problem, s.lat, s.steps, s.mbar_path, recording)
+        assert len(blocks) == -(-s.steps.n_time // (budget // s.lat.n_nodes))
+        assert [t for block in reversed(blocks) for t in block] == \
+            [n * s.steps.h2 for n in range(s.steps.n_time)]
 
 
 def test_induced_measure_equals_reference(setup):
-    problem, steps, lat, _, mbar_path, field, policies = setup
-    for seed, ctrl in enumerate((field, policies[0])):
+    s = setup
+    for seed, ctrl in enumerate((s.field, s.policies[0])):
         assert np.array_equal(
-            induced_measure(problem, lat, steps, ctrl, mbar_path, 300, seed),
-            ref_induced_measure(problem, lat, steps, ctrl, mbar_path, 300,
-                                seed))
+            induced_measure(s.problem, s.lat, s.steps, ctrl, s.mbar_path, 300,
+                            seed),
+            ref_induced_measure(s.problem, s.lat, s.steps, ctrl, s.mbar_path,
+                                300, seed))
 
 
 @pytest.mark.parametrize("start", ["initial law", "x0"])
 def test_simulate_chain_equals_reference(setup, start):
-    problem, steps, lat, _, mbar_path, field, policies = setup
-    x0 = None if start == "initial law" else lat.points[lat.n_nodes // 3]
-    for seed, ctrl in enumerate((field, policies[1])):
-        bundle = simulate_chain(problem, lat, steps, ctrl, mbar_path, 40,
-                                seed, x0=x0)
-        states, applied = ref_simulate_chain(problem, lat, steps, ctrl,
-                                             mbar_path, 40, seed, x0=x0)
+    s = setup
+    x0 = None if start == "initial law" else s.lat.points[s.lat.n_nodes // 3]
+    for seed, ctrl in enumerate((s.field, s.policies[1])):
+        bundle = simulate_chain(s.problem, s.lat, s.steps, ctrl, s.mbar_path,
+                                40, seed, x0=x0)
+        states, applied = ref_simulate_chain(s.problem, s.lat, s.steps, ctrl,
+                                             s.mbar_path, 40, seed, x0=x0)
         assert np.array_equal(bundle.states, states)
-        assert np.array_equal(bundle.controls, applied)
-        assert np.array_equal(bundle.times, steps.times())
+        assert_policy_match(s, bundle.controls, applied, ctrl is not s.field)
+        assert np.array_equal(bundle.times, s.steps.times())
+
+
+# ---------------------------------------------------------------------------
+# Block boundaries
+# ---------------------------------------------------------------------------
+
+#: Steps per block: one, a length that divides neither 100 nor 16, and more
+#: than the whole horizon (one block).
+BLOCKS = {"1-step": 1, "7-steps": 7, "one-block": None}
+
+
+@pytest.fixture(params=sorted(BLOCKS))
+def blocked(request, setup, monkeypatch):
+    """The setup with ``block(width)``, which sets the block budget so that
+    a loop of ``width`` evaluations per step runs blocks of the fixture's
+    length.  The fine setups stop after 16 steps here: a DP block of 100
+    fine mfg2d steps would hold 2.2 million stencil rows."""
+    s = setup
+    steps = s.steps
+    if s.grid == "fine":
+        steps = StepSizes(steps.h1, steps.h2, 16)
+    length = BLOCKS[request.param] or 2 * steps.n_time
+
+    def block(width):
+        monkeypatch.setattr(lattice_module, "BLOCK_EVALS", length * width)
+
+    return SimpleNamespace(**{**vars(s), "steps": steps,
+                              "mbar_path": s.mbar_path[:steps.n_time + 1],
+                              "field": s.field[:steps.n_time],
+                              "block": block})
+
+
+def test_dp_sweep_in_blocks_equals_reference(blocked):
+    b = blocked
+    b.block(b.lat.n_nodes * len(b.controls))
+    values, field = dp_backward_sweep(b.problem, b.lat, b.steps, b.mbar_path,
+                                      b.controls)
+    ref_values, ref_field = ref_dp_backward_sweep(
+        b.problem, b.lat, b.steps, b.mbar_path, b.controls)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(field, ref_field)
+
+
+def test_policy_sweep_in_blocks_equals_reference(blocked):
+    b = blocked
+    b.block(b.lat.n_nodes)
+    for policy, network in ((grid_control(b.field, b.steps), False),
+                            *((p, True) for p in b.policies)):
+        assert_policy_match(
+            b, policy_value_sweep(b.problem, b.lat, b.steps, b.mbar_path,
+                                  policy),
+            ref_policy_value_sweep(b.problem, b.lat, b.steps, b.mbar_path,
+                                   policy), network)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2])
+def test_start_values_in_blocks_equal_reference(blocked, n_rows):
+    """Column r is the t = 0 row of the reference sweep under row r.  With
+    two rows einsum sums the stencil columns in another order, so they
+    match to rounding."""
+    b = blocked
+    b.block(b.lat.n_nodes * n_rows)
+    thetas = b.thetas[:n_rows]
+    got = policy_start_values(b.problem, b.lat, b.steps, b.mbar_path,
+                              feedback(b.arch, thetas), n_rows)
+    ref = np.stack([ref_policy_value_sweep(b.problem, b.lat, b.steps,
+                                           b.mbar_path, p)[0]
+                    for p in b.policies[:n_rows]], axis=1)
+    if n_rows == 1:
+        assert_policy_match(b, got, ref, True)
+    else:
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_induced_measure_in_blocks_equals_reference(blocked):
+    b = blocked
+    b.block(b.lat.n_nodes)
+    for seed, ctrl in enumerate((b.field, b.policies[0])):
+        assert np.array_equal(
+            induced_measure(b.problem, b.lat, b.steps, ctrl, b.mbar_path, 300,
+                            seed),
+            ref_induced_measure(b.problem, b.lat, b.steps, ctrl, b.mbar_path,
+                                300, seed))
 
 
 @pytest.fixture(scope="module", params=["lq.cfg", "mfg2d.cfg"],

@@ -132,3 +132,30 @@ class TestMfg2d:
         problem = mfg2d_problem()
         np.testing.assert_allclose(problem.diffusion_matrix(0.0),
                                    0.25 * np.eye(2))
+
+
+class TestBlockOfMeans:
+    """A block of times passes the means as (B, 1, d), broadcast against
+    the points; each model's callbacks must then give, time by time, the
+    bits of a call with that time's (d,) mean."""
+
+    @pytest.mark.parametrize("model", ["lq", "mfg2d"])
+    def test_drift_and_costs_equal_per_time_calls(self, model):
+        problem = lq_problem(LqParams()) if model == "lq" else mfg2d_problem()
+        rng = np.random.default_rng(3)
+        d, k = problem.dim, problem.control_dim
+        x = rng.uniform(problem.domain_lower, problem.domain_upper, (9, d))
+        alpha = rng.uniform(problem.control_lower, problem.control_upper,
+                            (5, 9, k))
+        ts = np.arange(5) * 0.01
+        means = rng.uniform(problem.domain_lower, problem.domain_upper, (5, d))
+        drift = problem.drift(ts[:, None], x, means[:, None], alpha)
+        cost = problem.running_cost(ts[:, None], x, means[:, None], alpha)
+        terminal = problem.terminal_cost(x, means[:, None])
+        for b in range(5):
+            assert np.array_equal(
+                drift[b], problem.drift(ts[b], x, means[b], alpha[b]))
+            assert np.array_equal(
+                cost[b], problem.running_cost(ts[b], x, means[b], alpha[b]))
+            assert np.array_equal(terminal[b],
+                                  problem.terminal_cost(x, means[b]))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,8 @@ def mc_improvement(problem, lattice, steps, mbar_path, arch, thetas, n_mc,
     n_nodes = lattice.n_nodes
     rows = np.arange(len(thetas))[:, None]
     nodes = np.tile(np.repeat(np.arange(n_nodes), n_mc), (rows.shape[0], 1))
+    neighbors = np.repeat(lattice.neighbor_indices(), len(thetas), axis=0)
+    folded = SimpleNamespace(neighbor_indices=lambda: neighbors)
     total = np.zeros(nodes.shape)
     for n in range(steps.n_time):
         t = n * steps.h2
@@ -237,8 +241,11 @@ def mc_improvement(problem, lattice, steps, mbar_path, arch, thetas, n_mc,
                                       mbar_path[n], layer)
         cost = problem.running_cost(t, lattice.points[:, None, :],
                                     mbar_path[n], layer)      # (N, P)
-        total += np.take(cost, nodes * cost.shape[1] + rows) * steps.h2
-        nodes = chain_step(lattice, probs, nodes, rng, rows)
+        flat = nodes * cost.shape[1] + rows
+        total += np.take(cost, flat) * steps.h2
+        # row p of node i is the pseudo-node i * P + p of a folded table
+        nodes = chain_step(folded, probs.reshape(-1, probs.shape[-1]), flat,
+                           rng)
     total += problem.terminal_cost(lattice.points, mbar_path[-1])[nodes]
     return -np.mean(total, axis=1)
 
