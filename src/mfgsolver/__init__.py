@@ -23,11 +23,10 @@ from .problems import LqParams, MfgProblem, lq_problem, mfg2d_problem
 from .lattice import Lattice, StepSizes, build_lattice
 from .network import NetworkArchitecture
 from .runner import RunConfig, RunReport, run_algorithm1
-from .sa import SaSchedule, ProjectionRegion
+from .sa import SaSchedule
 
 __all__ = [
     "NetworkArchitecture",
-    "ProjectionRegion",
     "RunConfig",
     "RunReport",
     "SaSchedule",

@@ -199,15 +199,15 @@ def _fit_dataset(arch: NetworkArchitecture, control_field: np.ndarray,
 
 
 def fit_to_grid(arch: NetworkArchitecture, theta0: np.ndarray,
-                control_field: np.ndarray, lattice, steps,
-                trigger: float = 1e-3, max_steps: int = 10_000,
-                m_bound: float = 10.0):
+                control_field: np.ndarray, lattice, steps, m_bound: float,
+                trigger: float = 1e-3, max_steps: int = 10_000):
     """Least-squares fit of the network to a grid control field.
 
     Gradient descent with backtracking line search (loss never increases
     across accepted steps); stops when the loss decrement falls below
     ``trigger`` or the step budget runs out.  The result is clamped into
-    the parameter box |theta_j| <= m_bound.
+    the parameter box |theta_j| <= m_bound, and the loss returned is that
+    of the clamped parameters.
     """
     inputs, targets = _fit_dataset(arch, control_field, lattice, steps)
     theta = np.asarray(theta0, dtype=float).copy()
@@ -233,7 +233,8 @@ def fit_to_grid(arch: NetworkArchitecture, theta0: np.ndarray,
         lr = min(lr * 1.5, 1.0)
         if decrement < trigger:
             break
-    return np.clip(theta, -m_bound, m_bound), loss
+    theta = np.clip(theta, -m_bound, m_bound)
+    return theta, fit_loss(arch, theta, inputs, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .network import (NetworkArchitecture, feedback, fit_to_grid, forward,
                       random_theta, save_checkpoint)
 from .problems import (LqParams, MfgProblem, lq_problem, mfg2d_problem,
                        riccati_closed_form)
-from .sa import ProjectionRegion, SaSchedule, improvement, train
+from .sa import SaSchedule, improvement, train
 from .seeding import substream
 from .simulate import paths_to_csv, simulate_sde
 
@@ -71,13 +71,11 @@ CONFIG_SCHEMA = (
     ("sa", "max_steps", "sa_max_steps", int),
     ("sa", "trigger", "sa_trigger", float),
     ("sa", "m_bound", "m_bound", float),
-    ("sa", "control_band", "control_band", float),
     ("iteration", "trigger", "iter_trigger", float),
     ("iteration", "max_iters", "max_iters", int),
     ("iteration", "w2_q", "w2_q", float),
     ("iteration", "stop_rule", "stop_rule", str),
     ("iteration", "n_particles", "n_particles", int),
-    ("iteration", "initial_measure", "initial_measure", str),
     ("run", "seed", "seed", int),
     ("run", "out_dir", "out_dir", str),
     ("run", "n_eval_paths", "n_eval_paths", int),
@@ -109,13 +107,11 @@ class RunConfig:
     sa_max_steps: int = 5000
     sa_trigger: float = 1e-5
     m_bound: float = 10.0
-    control_band: float = np.inf
     iter_trigger: float = 1e-6
     max_iters: int = 50_000
     w2_q: float = 0.5
     stop_rule: str = "either"         # either | both | w2 | value
     n_particles: int = 2000
-    initial_measure: str = "uncontrolled"  # uncontrolled | initial
     seed: int = 0
     out_dir: str = "out"
     n_eval_paths: int = 3
@@ -144,9 +140,6 @@ class RunConfig:
             raise ConfigError("w2_q must lie in (0, 1)")
         if self.stop_rule not in ("either", "both", "w2", "value"):
             raise ConfigError(f"unknown stop_rule '{self.stop_rule}'")
-        if self.initial_measure not in ("uncontrolled", "initial"):
-            raise ConfigError(
-                f"unknown initial_measure '{self.initial_measure}'")
         self.build()
 
     def to_ini(self) -> str:
@@ -301,12 +294,11 @@ def reindex_mean_path(mbar_path: np.ndarray, steps_c: StepSizes,
     return mbar_path[idx]
 
 
-def _initial_measure_path(problem, lattice, steps, config) -> np.ndarray:
+def _initial_law_path(problem, lattice, steps, config) -> np.ndarray:
+    """The chain's law under the midpoint control, from the initial law."""
     base = lattice.points[lattice.indices_of(problem.initial_sampler(
         substream(config.seed, "init"), config.n_particles))]
     path = np.repeat(base[None], steps.n_time + 1, axis=0)
-    if config.initial_measure == "initial":
-        return path
     mid = problem.control_midpoint()
     field = np.broadcast_to(mid, (steps.n_time, lattice.n_nodes, len(mid)))
     return induced_measure(problem, lattice, steps, field, mean_path(path),
@@ -367,7 +359,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         # replay the stop test: a run that stopped stays stopped
         w2_hit, value_hit = last["w2_hit"], last["value_hit"]
     else:
-        m_bar = _initial_measure_path(problem, lat_c, steps_c, config)
+        m_bar = _initial_law_path(problem, lat_c, steps_c, config)
         mbar_path = mean_path(m_bar)
         # value tables start from the terminal cost under the initial law
         g0 = problem.terminal_cost(lat_f.points, mbar_path[-1])
@@ -423,16 +415,13 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                 m_bound=config.m_bound)
         # Step 5: stochastic-approximation refinement
         with _timed(stage_s, "sa"):
-            region = ProjectionRegion.around_anchor(
-                arch, theta0, lat_c, steps_c,
-                band=config.control_band, m_bound=config.m_bound)
             sa_trace: list = []
 
             def evaluator(thetas, eval_seed, _m=mbar_path):
                 return improvement(problem, lat_c, steps_c, _m, arch, thetas)
 
-            theta = train(theta0, schedule, region, evaluator, sa_seed,
-                          trace=sa_trace)
+            theta = train(theta0, schedule, config.m_bound, evaluator,
+                          sa_seed, trace=sa_trace)
 
         # Step 6: value sweep on the fine lattice under the network control
         with _timed(stage_s, "fine_sweep"):

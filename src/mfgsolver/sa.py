@@ -3,8 +3,9 @@
 The scalar objective is the negative average, over the state lattice, of
 the chain's expected cost from t = 0; each coordinate of the gradient
 estimate is a central finite difference of two evaluations.  The iterate is
-confined to a box on the parameters intersected with a trust band around the
-grid-search anchor control.
+projected onto the parameter box |theta_j| <= m_bound, the bounded region of
+projected KW (Kushner & Yin, Stochastic Approximation and Recursive
+Algorithms and Applications, 2003).
 
 Evaluator contract: ``evaluator(thetas, seed)`` maps a (P, r) stack of
 parameter vectors to their P objective values.  A KW step is one call on
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import NonFiniteEvaluation
 from .lattice import policy_start_values
-from .network import feedback, forward
+from .network import feedback
 from .seeding import substream
 
 
@@ -64,49 +65,6 @@ class SaSchedule:
         return self.delta0 / (l + 1) ** self.p_delta
 
 
-@dataclass
-class ProjectionRegion:
-    """Parameter box |theta_j| <= M plus a control trust band.
-
-    The band constrains the network output on the anchor inputs to stay
-    within ``band`` of the anchor control (the grid-search optimum at the
-    fit stage), intersected with the admissible control box.  The band is
-    frozen at its initial width: a shrinking feasible set would eventually
-    exclude the optimum.
-    """
-
-    m_bound: float = 10.0
-    arch: object = None
-    anchor_times: np.ndarray | None = None
-    anchor_states: np.ndarray | None = None
-    anchor_controls: np.ndarray | None = None
-    band: float = np.inf
-
-    def project_box(self, theta: np.ndarray) -> np.ndarray:
-        return np.clip(theta, -self.m_bound, self.m_bound)
-
-    def contains(self, theta: np.ndarray, tol: float = 1e-9) -> bool:
-        if np.any(np.abs(theta) > self.m_bound + tol):
-            return False
-        return self.band_ok(theta, tol=tol)
-
-    def band_ok(self, theta: np.ndarray, tol: float = 1e-9) -> bool:
-        if self.anchor_controls is None or not np.isfinite(self.band):
-            return True
-        out = forward(self.arch, theta, self.anchor_times[:, None][..., 0],
-                      self.anchor_states)
-        return bool(np.all(np.abs(out - self.anchor_controls) <= self.band + tol))
-
-    @classmethod
-    def around_anchor(cls, arch, theta0: np.ndarray, lattice, steps,
-                      band: float, m_bound: float = 10.0) -> "ProjectionRegion":
-        times = np.repeat(np.arange(steps.n_time) * steps.h2, lattice.n_nodes)
-        states = np.tile(lattice.points, (steps.n_time, 1))
-        anchors = forward(arch, theta0, times, states)
-        return cls(m_bound=m_bound, arch=arch, anchor_times=times,
-                   anchor_states=states, anchor_controls=anchors, band=band)
-
-
 def improvement(problem, lattice, steps, mbar_path, arch,
                 thetas) -> np.ndarray:
     """Negative average over the state lattice of the chain's expected cost
@@ -124,13 +82,14 @@ def improvement(problem, lattice, steps, mbar_path, arch,
     return g
 
 
-def kw_step(theta, schedule: SaSchedule, region: ProjectionRegion,
-            evaluator, l: int, eval_seed: int):
-    """One projected central-finite-difference update.
+def kw_step(theta, schedule: SaSchedule, m_bound: float, evaluator, l: int,
+            eval_seed: int):
+    """One central-finite-difference update, projected onto the box
+    |theta_j| <= ``m_bound``.
 
     The 2r+1 evaluations are one ``evaluator`` call on the stacked points,
     all with ``eval_seed`` (common random numbers).
-    Returns ``(theta_next, info)``, with z_l and whether the step was cut.
+    Returns ``(theta_next, info)``, with z_l and whether the box cut the step.
     """
     theta = np.asarray(theta, dtype=float)
     r = theta.shape[0]
@@ -145,15 +104,8 @@ def kw_step(theta, schedule: SaSchedule, region: ProjectionRegion,
     k_vec = (g[1::2] - g[2::2]) / (2.0 * delta)
     if not np.all(np.isfinite(k_vec)) or not np.isfinite(g_here):
         raise NonFiniteEvaluation("non-finite objective in kw_step")
-    step = eps * k_vec
-    cand = region.project_box(theta + step)
-    halvings = 0
-    while not region.band_ok(cand) and halvings < 20:
-        step *= 0.5
-        cand = region.project_box(theta + step)
-        halvings += 1
-    if halvings >= 20 and not region.band_ok(cand):
-        cand = theta.copy()
+    free = theta + eps * k_vec
+    cand = np.clip(free, -m_bound, m_bound)
     z = (cand - theta - eps * k_vec) / eps
     info = {
         "l": l,
@@ -161,15 +113,16 @@ def kw_step(theta, schedule: SaSchedule, region: ProjectionRegion,
         "eps": eps,
         "delta": delta,
         "grad_norm": float(np.linalg.norm(k_vec)),
-        "projected": bool(np.any(cand != theta + eps * k_vec)),
+        "projected": bool(np.any(cand != free)),
         "z": z,
     }
     return cand, info
 
 
-def train(theta_init, schedule: SaSchedule, region: ProjectionRegion,
-          evaluator, seed: int, ma_window: int = 10, trace: list | None = None):
-    """Iterate kw_step until the moving-average objective change stalls.
+def train(theta_init, schedule: SaSchedule, m_bound: float, evaluator,
+          seed: int, ma_window: int = 10, trace: list | None = None):
+    """Iterate kw_step in the box |theta_j| <= ``m_bound`` until the
+    moving-average objective change stalls.
 
     Stops when |MA(G) change| < trigger (window ``ma_window``), when the
     update vanishes, or at max_steps.  Returns the evaluated iterate with
@@ -183,7 +136,7 @@ def train(theta_init, schedule: SaSchedule, region: ProjectionRegion,
     g_hist: list[float] = []
     prev_ma = None
     for l in range(schedule.max_steps):
-        theta_next, info = kw_step(theta, schedule, region, evaluator, l,
+        theta_next, info = kw_step(theta, schedule, m_bound, evaluator, l,
                                    eval_seed)
         if trace is not None:
             trace.append({k: v for k, v in info.items() if k != "z"})

@@ -21,7 +21,7 @@ from mfgsolver.network import NetworkArchitecture, load_checkpoint, \
 from mfgsolver.problems import LqParams, lq_analytic_equilibrium, lq_problem, \
     mfg2d_problem, riccati_closed_form
 from mfgsolver.runner import RunConfig, evaluate_lq_policy, run_algorithm1
-from mfgsolver.sa import ProjectionRegion, SaSchedule, train
+from mfgsolver.sa import SaSchedule, train
 from mfgsolver.seeding import substream
 from mfgsolver.simulate import estimate_cost, simulate_chain, simulate_sde
 
@@ -129,13 +129,12 @@ def test_criterion_05_gradient_oracle():
 
 def test_criterion_06_kw_convergence_oracle():
     tstar = np.array([0.3, -0.5, 1.0, 0.0, 2.0])
-    region = ProjectionRegion(m_bound=10.0)
 
     def noiseless(thetas, seed):
         return -np.sum((thetas - tstar) ** 2, axis=1)
 
     sch = SaSchedule(max_steps=5000, trigger=1e-12)
-    out = train(np.zeros(5), sch, region, noiseless, seed=0)
+    out = train(np.zeros(5), sch, 10.0, noiseless, seed=0)
     err0 = float(np.max(np.abs(out - tstar)))
     assert err0 <= 1e-2
 
@@ -148,7 +147,7 @@ def test_criterion_06_kw_convergence_oracle():
                     + 0.01 * _r.standard_normal(size=len(thetas)))
 
         out = train(np.zeros(5), SaSchedule(max_steps=5000, trigger=1e-5),
-                    region, noisy, seed=s)
+                    10.0, noisy, seed=s)
         if np.max(np.abs(out - tstar)) <= 5e-2:
             wins += 1
     print(f"criterion 6: noiseless err {err0:.1e}, noisy wins {wins}/10")

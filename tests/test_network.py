@@ -111,7 +111,7 @@ class TestFit:
         arch = NetworkArchitecture.for_problem(problem, hidden=(6,))
         field = np.full((steps.n_time, lat.n_nodes, 1), 0.25)
         theta0 = random_theta(arch, np.random.default_rng(2))
-        theta, loss = fit_to_grid(arch, theta0, field, lat, steps,
+        theta, loss = fit_to_grid(arch, theta0, field, lat, steps, 10.0,
                                   trigger=1e-8, max_steps=3000)
         out = forward(arch, theta, 0.0, lat.points)
         assert np.max(np.abs(out - 0.25)) < 0.02
@@ -128,9 +128,26 @@ class TestFit:
         from mfgsolver.network import _fit_dataset
         inputs, targets = _fit_dataset(arch, field, lat, steps)
         start = fit_loss(arch, theta0, inputs, targets)
-        theta, end = fit_to_grid(arch, theta0, field, lat, steps,
+        theta, end = fit_to_grid(arch, theta0, field, lat, steps, 10.0,
                                  trigger=1e-6, max_steps=200)
         assert end <= start
+
+    def test_loss_is_that_of_the_clipped_theta(self):
+        # the unclipped fit leaves the small box, so the clip moves theta
+        problem = lq_problem(LqParams())
+        steps = StepSizes.for_horizon(1.0, 0.2, 0.1)
+        lat = build_lattice(problem, steps)
+        arch = NetworkArchitecture.for_problem(problem, hidden=(4,))
+        rng = np.random.default_rng(5)
+        field = rng.uniform(-1, 1, (steps.n_time, lat.n_nodes, 1))
+        theta0 = random_theta(arch, rng, scale=2.0)
+        from mfgsolver.network import _fit_dataset
+        inputs, targets = _fit_dataset(arch, field, lat, steps)
+        theta, loss = fit_to_grid(arch, theta0, field, lat, steps, 0.1,
+                                  trigger=1e-6, max_steps=200)
+        assert np.all(np.abs(theta) <= 0.1)
+        assert np.any(np.abs(theta) == 0.1)
+        assert loss == fit_loss(arch, theta, inputs, targets)
 
 
 class TestCheckpoint:

@@ -91,6 +91,15 @@ class TestRunConfig:
                 cfg = RunConfig.from_ini(fh.read())
             assert cfg.model in ("lq", "mfg2d")
 
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+    def test_shipped_config_sets_every_schema_key(self, name):
+        # a missing key would silently take the dataclass default
+        cp = configparser.ConfigParser()
+        cp.read_string(shipped_config_text(name))
+        keys = {(sec, key) for sec in cp.sections() if sec != "model"
+                for key in cp.options(sec)}
+        assert keys == {(sec, key) for sec, key, _, _ in CONFIG_SCHEMA}
+
     @pytest.mark.parametrize("name", ["lq.cfg", "mfg2d.cfg"])
     def test_shipped_config_round_trip(self, name):
         cfg = RunConfig.from_ini(shipped_config_text(name))
@@ -410,7 +419,10 @@ class TestCli:
         ("lq.cfg", "bogus", None, None, "[bogus]"),
         ("mfg2d.cfg", "model", "a", "3", "model/a"),
         ("lq.cfg", "sa", "eps0", "nan", "eps0"),
-        ("lq.cfg", "sa", "control_band", "nan", "control_band"),
+        # keys removed from the schema: a config that still sets one
+        ("lq.cfg", "sa", "control_band", "inf", "sa/control_band"),
+        ("lq.cfg", "iteration", "initial_measure", "uncontrolled",
+         "iteration/initial_measure"),
         ("lq.cfg", "run", "n_eval_paths", "-1", "n_eval_paths")])
     def test_solve_bad_input_exit_2(self, tmp_path, capsys, name, section,
                                     key, value, named):
@@ -537,6 +549,19 @@ class TestCli:
                      str(run / "theta_final.csv"),
                      "--out", str(tmp_path / "sim.csv")]) == 2
         assert "config.copy" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
+
+    def test_simulate_config_with_a_removed_key_exit_2(self, tiny_run,
+                                                       tmp_path, capsys):
+        # a run directory written while [sa] control_band was a key
+        cfg, _ = tiny_run
+        run = shutil.copytree(cfg.out_dir, tmp_path / "run")
+        (run / "config.copy").write_text(with_key(
+            (run / "config.copy").read_text(), "sa", "control_band", "inf"))
+        assert main(["simulate", "--checkpoint",
+                     str(run / "theta_final.csv"),
+                     "--out", str(tmp_path / "sim.csv")]) == 2
+        assert "sa/control_band" in capsys.readouterr().err
         assert not (tmp_path / "sim.csv").exists()
 
     def test_simulate_config_of_other_dimension_exit_2(self, tiny_run,

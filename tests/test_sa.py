@@ -8,9 +8,7 @@ from mfgsolver.lattice import (StepSizes, build_lattice, chain_step,
                                stencil_probabilities)
 from mfgsolver.network import (NetworkArchitecture, forward, random_theta,
                                zero_theta)
-from mfgsolver.problems import LqParams, lq_problem
-from mfgsolver.sa import (ProjectionRegion, SaSchedule, improvement, kw_step,
-                          train)
+from mfgsolver.sa import SaSchedule, improvement, kw_step, train
 from mfgsolver.seeding import substream
 
 
@@ -39,34 +37,6 @@ class TestSchedule:
             SaSchedule(eps0=0.0)
 
 
-class TestProjectionRegion:
-    def test_box_clamp(self):
-        r = ProjectionRegion(m_bound=2.0)
-        np.testing.assert_array_equal(r.project_box(np.array([3.0, -5.0])),
-                                      [2.0, -2.0])
-
-    def test_band_around_anchor(self):
-        arch = NetworkArchitecture(1, 1, (4,), 1.0, (0.,), (1.,),
-                                   (0.,), (1.,))
-        from mfgsolver.problems import lq_problem, LqParams
-        problem = lq_problem(LqParams())
-        steps = StepSizes.for_horizon(1.0, 0.2, 0.1)
-        lat = build_lattice(problem, steps)
-        arch = NetworkArchitecture.for_problem(problem, hidden=(4,))
-        theta0 = zero_theta(arch)
-        region = ProjectionRegion.around_anchor(arch, theta0, lat, steps,
-                                                band=0.05)
-        assert region.contains(theta0)
-        # a big parameter kick pushes the output past the band
-        theta_far = theta0.copy()
-        theta_far[-1] = 8.0  # output bias
-        assert not region.band_ok(theta_far)
-
-    def test_infinite_band_always_ok(self):
-        r = ProjectionRegion(m_bound=10.0)
-        assert r.band_ok(np.array([1.0]))
-
-
 def quadratic(tstar):
     def ev(thetas, seed):
         return -np.sum((thetas - tstar) ** 2, axis=1)
@@ -78,9 +48,8 @@ class TestKwStep:
         # central differences are exact for quadratics: K = -2(theta-t*)
         tstar = np.array([1.0, -1.0, 0.5])
         sch = SaSchedule()
-        region = ProjectionRegion(m_bound=10.0)
         theta = np.zeros(3)
-        nxt, info = kw_step(theta, sch, region, quadratic(tstar), 0, 0)
+        nxt, info = kw_step(theta, sch, 10.0, quadratic(tstar), 0, 0)
         np.testing.assert_allclose(nxt, 2.0 * tstar * sch.eps(0))
         assert not info["projected"]
         np.testing.assert_allclose(info["z"], 0.0)
@@ -88,44 +57,36 @@ class TestKwStep:
     def test_projection_term_recorded(self):
         tstar = np.array([50.0])
         sch = SaSchedule()
-        region = ProjectionRegion(m_bound=1.0)
-        nxt, info = kw_step(np.zeros(1), sch, region, quadratic(tstar), 0, 0)
+        nxt, info = kw_step(np.zeros(1), sch, 1.0, quadratic(tstar), 0, 0)
         assert nxt[0] == pytest.approx(1.0)
         assert info["projected"]
         assert info["z"][0] < 0.0
 
-    @pytest.mark.parametrize("case", ["unclipped", "box", "band"])
+    def test_box_clamp(self):
+        # a step that leaves the box on both sides lands on its faces
+        nxt, _ = kw_step(np.zeros(2), SaSchedule(), 2.0,
+                         quadratic(np.array([50.0, -50.0])), 0, 0)
+        np.testing.assert_array_equal(nxt, [2.0, -2.0])
+
+    @pytest.mark.parametrize("case", ["unclipped", "box"])
     def test_projected_only_when_the_step_is_cut(self, case):
         # (theta + s) - theta != s in floating point, so a test on
         # z = (cand - theta - s) / eps calls an unclipped step projected
         sch = SaSchedule()
-        if case == "band":
-            # the output bias pulls the control past the band: halved steps
-            problem = lq_problem(LqParams())
-            steps = StepSizes.for_horizon(1.0, 0.2, 0.1)
-            arch = NetworkArchitecture.for_problem(problem, hidden=(4,))
-            theta = zero_theta(arch)
-            region = ProjectionRegion.around_anchor(
-                arch, theta, build_lattice(problem, steps), steps, band=0.05,
-                m_bound=100.0)
-            tstar = theta.copy()
-            tstar[-1] = 8.0
-        else:
-            theta = np.array([0.7, -0.3, 0.45])
-            tstar = np.array([1.0, -1.0, 0.5]) if case == "unclipped" \
-                else np.array([50.0, -1.0, 0.5])
-            region = ProjectionRegion(m_bound=10.0)
-        nxt, info = kw_step(theta, sch, region, quadratic(tstar), 0, 0)
+        theta = np.array([0.7, -0.3, 0.45])
+        tstar = np.array([1.0, -1.0, 0.5]) if case == "unclipped" \
+            else np.array([50.0, -1.0, 0.5])
+        nxt, info = kw_step(theta, sch, 10.0, quadratic(tstar), 0, 0)
         free = theta + sch.eps(0) * 2.0 * (tstar - theta)
         assert info["projected"] == (case != "unclipped")
         assert np.allclose(nxt, free) == (case == "unclipped")
-        assert region.contains(nxt)
+        assert np.all(np.abs(nxt) <= 10.0)
 
     def test_nonfinite_raises(self):
         def bad(thetas, seed):
             return np.full(len(thetas), np.nan)
         with pytest.raises(NonFiniteEvaluation):
-            kw_step(np.zeros(2), SaSchedule(), ProjectionRegion(), bad, 0, 0)
+            kw_step(np.zeros(2), SaSchedule(), 10.0, bad, 0, 0)
 
     def test_crn_pairing_reduces_variance(self):
         # noisy quadratic: paired seeds cancel the noise in the difference,
@@ -143,11 +104,10 @@ class TestKwStep:
             return -np.sum((thetas - tstar) ** 2, axis=1) + 0.1 * np.array(noise)
 
         sch = SaSchedule()
-        region = ProjectionRegion(m_bound=10.0)
         grads_p, grads_i = [], []
         for s in range(40):
-            _, ip = kw_step(np.zeros(2), sch, region, noisy, 0, s)
-            _, ii = kw_step(np.zeros(2), sch, region, noisy_indep, 0, s)
+            _, ip = kw_step(np.zeros(2), sch, 10.0, noisy, 0, s)
+            _, ii = kw_step(np.zeros(2), sch, 10.0, noisy_indep, 0, s)
             grads_p.append(ip["grad_norm"])
             grads_i.append(ii["grad_norm"])
         assert np.var(grads_p) < 0.25 * np.var(grads_i)
@@ -157,16 +117,14 @@ class TestTrain:
     def test_converges_on_noiseless_quadratic(self):
         tstar = np.array([0.3, -0.5, 1.0, 0.0, 2.0])
         sch = SaSchedule(max_steps=5000, trigger=1e-12)
-        out = train(np.zeros(5), sch, ProjectionRegion(m_bound=10.0),
-                    quadratic(tstar), seed=0)
+        out = train(np.zeros(5), sch, 10.0, quadratic(tstar), seed=0)
         assert np.max(np.abs(out - tstar)) <= 1e-2
 
     def test_flat_objective_returns_start(self):
         def flat(thetas, seed):
             return np.ones(len(thetas))
         theta0 = np.array([0.7, -0.2])
-        out = train(theta0, SaSchedule(max_steps=100), ProjectionRegion(),
-                    flat, seed=0)
+        out = train(theta0, SaSchedule(max_steps=100), 10.0, flat, seed=0)
         np.testing.assert_array_equal(out, theta0)
 
     def test_last_candidate_is_not_returned(self):
@@ -175,17 +133,15 @@ class TestTrain:
         tstar = np.array([1.0, -1.0, 0.5])
         theta0 = np.array([0.2, 0.1, -0.3])
         sch = SaSchedule(eps0=0.25, max_steps=1)  # halfway to the optimum
-        region = ProjectionRegion(m_bound=10.0)
-        cand, _ = kw_step(theta0, sch, region, quadratic(tstar), 0, 0)
+        cand, _ = kw_step(theta0, sch, 10.0, quadratic(tstar), 0, 0)
         g = quadratic(tstar)(np.stack([theta0, cand]), 0)
         assert g[1] > g[0]
-        out = train(theta0, sch, region, quadratic(tstar), seed=0)
+        out = train(theta0, sch, 10.0, quadratic(tstar), seed=0)
         assert np.array_equal(out, theta0)
 
     def test_trace_recorded(self):
         trace = []
-        train(np.zeros(2), SaSchedule(max_steps=30),
-              ProjectionRegion(m_bound=10.0),
+        train(np.zeros(2), SaSchedule(max_steps=30), 10.0,
               quadratic(np.array([0.1, 0.2])), seed=0, trace=trace)
         assert trace and trace[0]["l"] == 0
         assert {"G", "eps", "delta", "grad_norm"} <= set(trace[0])
@@ -339,7 +295,7 @@ class TestBatchedOracle:
             return mc_improvement(problem, lat, steps, m, arch, thetas, 2,
                                   seed)
 
-        _, info = kw_step(theta, sch, ProjectionRegion(), evaluator, 0, 17)
+        _, info = kw_step(theta, sch, 10.0, evaluator, 0, 17)
         delta = sch.delta(0)
         assert info["G"] == sequential_improvement(problem, lat, steps, m,
                                                    arch, theta, 2, 17)
@@ -362,7 +318,7 @@ class TestBatchedOracle:
             calls.append((thetas.copy(), seed))
             return -np.sum(thetas ** 2, axis=1)
 
-        kw_step(theta, sch, ProjectionRegion(), recording, 2, 41)
+        kw_step(theta, sch, 10.0, recording, 2, 41)
         assert len(calls) == 1
         stack, seed = calls[0]
         d = sch.delta(2)
