@@ -4,9 +4,9 @@ The solver discretizes the controlled diffusion into a locally consistent
 Markov chain, runs backward dynamic programming with grid-search controls,
 fits a small feedforward policy network to the grid control, and refines the
 network parameters with a projected Kiefer-Wolfowitz recursion.  The
-mean-field interaction is carried by particle paths of the population law,
-updated through a damped fixed-point iteration with a Wasserstein-2 stopping
-rule; the models see the law through its mean path.
+population law is a table of node weights per time, exact by the chain's
+forward equation, updated through a damped fixed-point iteration with a
+Wasserstein-2 stopping rule; the models see the law through its mean path.
 """
 
 from .errors import (

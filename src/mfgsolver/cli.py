@@ -101,11 +101,30 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _read_law(file_path, lattice, steps) -> np.ndarray:
+    """The (n_time+1, n_nodes) law of a ``measures.csv``, checked: a row per
+    time and node, the nodes those of ``lattice`` to 12 digits, and weights
+    >= 0 that sum to 1 within 1e-9 at every time (so none is NaN or inf)."""
+    table = np.loadtxt(file_path, delimiter=",", skiprows=1, ndmin=2)
+    n_rows, d = (steps.n_time + 1) * lattice.n_nodes, lattice.dims
+    if table.shape != (n_rows, d + 2):
+        raise ValueError(f"measures.csv has shape {table.shape}, "
+                         f"not {(n_rows, d + 2)}")
+    nodes = np.tile(lattice.points, (steps.n_time + 1, 1))
+    if np.any(np.abs(table[:, 1:-1] - nodes)
+              > 1e-12 * np.maximum(1.0, np.abs(nodes))):
+        raise ValueError("measures.csv nodes are not the coarse lattice's")
+    law = table[:, -1].reshape(steps.n_time + 1, lattice.n_nodes)
+    if not (np.all(law >= 0.0)
+            and np.all(np.abs(law.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ValueError("measures.csv weights are not a law at every t")
+    return law
+
+
 def _cmd_simulate(args) -> int:
     """Roll out a checkpoint under the problem and the population law of the
     run that wrote it: ``config.copy`` and ``measures.csv`` beside it."""
     from .lattice import StepSizes
-    from .measures import mean_path
     from .network import feedback, load_checkpoint
     from .runner import RunConfig, reindex_mean_path
     from .simulate import paths_to_csv, simulate_sde
@@ -121,19 +140,13 @@ def _cmd_simulate(args) -> int:
             raise ConfigError(
                 f"checkpoint state/control dimension {arch.state_dim}/"
                 f"{arch.control_dim}, config.copy {d}/{problem.control_dim}")
-        table = np.loadtxt(os.path.join(run_dir, "measures.csv"),
-                           delimiter=",", skiprows=1, ndmin=2)
-        if table.shape[1] != d + 3:
-            raise ValueError(f"measures.csv has {table.shape[1]} columns")
-        n = int(table[:, 1].max()) + 1
-        # the atoms are coarse lattice nodes printed to 12 digits: snap back
-        atoms = lat_c.points[lat_c.indices_of(table[:, 2:2 + d])]
-        m_bar = atoms.reshape(steps_c.n_time + 1, n, d)
+        law = _read_law(os.path.join(run_dir, "measures.csv"), lat_c,
+                        steps_c)
         steps = StepSizes.for_horizon(problem.horizon, steps_c.h1, args.h2)
     except (OSError, KeyError, ValueError, SolverError) as exc:
         print(f"cannot simulate {args.checkpoint}: {exc}", file=sys.stderr)
         return 2
-    mbar_path = reindex_mean_path(mean_path(m_bar), steps_c, steps)
+    mbar_path = reindex_mean_path(law @ lat_c.points, steps_c, steps)
     bundle = simulate_sde(problem, feedback(arch, theta), mbar_path,
                           args.paths, steps, args.seed,
                           share_common_noise=problem.has_common_noise)

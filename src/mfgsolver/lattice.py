@@ -1,7 +1,9 @@
 """State/time lattice, locally consistent transition probabilities, and the
-two halves of the Markov chain approximation, each written once: the chain
-loop (``run_chain``, around the ``chain_step`` kernel) and the backward
-recursion, which ``dp_backward_sweep`` runs with a min over the control grid,
+two time loops of the Markov chain approximation, each written once: the
+forward loop ``step_stencils``, which yields each step's controls and
+stencil to the chain rollout (``simulate``, around the ``chain_step``
+kernel) and to the induced law (``measures``), and the backward recursion,
+which ``dp_backward_sweep`` runs with a min over the control grid,
 ``policy_value_sweep`` with one control per node, and
 ``policy_start_values`` with one control per node for each of a stack of
 policies at once (the exact objective of the SA stage).  Both loops run
@@ -260,19 +262,16 @@ def chain_step(lattice: Lattice, probs: np.ndarray, nodes: np.ndarray,
     return np.take(lattice.neighbor_indices().ravel(), nodes * n_off + offset)
 
 
-def run_chain(problem, lattice: Lattice, steps: StepSizes, controls,
-              mbar_path: np.ndarray, nodes: np.ndarray, rng, states,
-              applied=None) -> None:
-    """Run chains from the flat ``nodes`` (M,) by ``chain_step`` on ``rng``,
-    under a (n_time, n_nodes, k) grid field or a callable ``(ts, points) ->
-    (B, n_nodes, k)`` of the controls over the lattice points at a block of
-    times.  Controls and stencils are evaluated once per block of
-    ``time_blocks``.  ``states`` (n_time+1, M, d) receives the chains'
-    points and ``applied`` (n_time, M, k), if given, the control each chain
-    applies."""
+def step_stencils(problem, lattice: Lattice, steps: StepSizes, controls,
+                  mbar_path: np.ndarray):
+    """Yield ``(n, layer, probs)`` for the time steps n = 0..n_time-1 in
+    order: the (n_nodes, k) controls of step n and their (n_nodes, n_off)
+    stencil probabilities.  ``controls`` is a (n_time, n_nodes, k) grid
+    field or a callable ``(ts, points) -> (B, n_nodes, k)`` of the controls
+    over the lattice points at a block of times; controls and stencils are
+    evaluated once per block of ``time_blocks``."""
     if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
-    states[0] = lattice.points[nodes]
     for start, stop in time_blocks(steps.n_time, lattice.n_nodes):
         ts = np.arange(start, stop) * steps.h2
         layers = controls(ts, lattice.points) if callable(controls) \
@@ -280,11 +279,7 @@ def run_chain(problem, lattice: Lattice, steps: StepSizes, controls,
         probs = stencil_probabilities(problem, lattice, steps, ts,
                                       mbar_path[start:stop],
                                       layers[:, :, None, :])[:, :, 0]
-        for n, layer, step_probs in zip(range(start, stop), layers, probs):
-            if applied is not None:
-                applied[n] = layer[nodes]
-            nodes = chain_step(lattice, step_probs, nodes, rng)
-            states[n + 1] = lattice.points[nodes]
+        yield from zip(range(start, stop), layers, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +400,16 @@ def validate_stepsizes(problem, lattice: Lattice, steps: StepSizes,
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-def csv_blocks(*columns):
+def csv_blocks(fixed: np.ndarray, n_values: int):
     """Formatter ``block(key, values)`` of a CSV block: per row, the key,
-    then ``columns``.  An array, (rows,) or (rows, c), is the same in every
-    block and goes into a row template once (the first column is one); an
-    int c takes c of ``values`` per row.  Numbers print ``%.12g``, as
-    ``f"{value:.12g}"`` does, so ids below 1e12 print as ``str`` does."""
-    fields, fixed = ["{key}"], []
-    for col in columns:
-        if isinstance(col, int):
-            fields += ["%%.12g"] * col
-        else:
-            fixed.append(col.reshape(len(columns[0]), -1))
-            fields += ["%.12g"] * fixed[-1].shape[1]
-    template = ((",".join(fields) + "\n") * len(columns[0])
-                % tuple(np.column_stack(fixed).ravel().tolist()))
+    the row of ``fixed``, (rows,) or (rows, c), then ``n_values`` of
+    ``values``.  ``fixed`` is the same in every block and goes into a row
+    template once.  Numbers print ``%.12g``, as ``f"{value:.12g}"`` does,
+    so integer keys below 1e12 print as ``str`` does."""
+    fixed = fixed.reshape(len(fixed), -1)
+    row = ",".join(["{key}"] + ["%.12g"] * fixed.shape[1]
+                   + ["%%.12g"] * n_values) + "\n"
+    template = (row * len(fixed)) % tuple(fixed.ravel().tolist())
     return lambda key, values: (template.replace("{key}", "%.12g" % key)
                                 % tuple(values.ravel().tolist()))
 

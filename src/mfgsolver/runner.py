@@ -1,18 +1,20 @@
 """End-to-end fixed-point loop, configuration, and artifact emission.
 
 Each global iteration: dynamic programming on the coarse lattice under the
-current averaged law, chain simulation of the induced law, 1/k averaging,
-least-squares fit of the network to the grid policy, stochastic-approximation
-refinement, then a value sweep on the fine lattice under the network control.
+current averaged law, the induced law by the chain's forward equation, 1/k
+averaging, least-squares fit of the network to the grid policy,
+stochastic-approximation refinement, then a value sweep on the fine lattice
+under the network control.
 Stops on the Wasserstein gap, the value change, or both, per the configured
 rule.  The coarse value table feeds only ``value_coarse.csv``, so it is swept
 once, after the loop.
 
-All randomness is derived from (seed, fixed tag) substreams that do not
-depend on the iteration counter.  Near the fixed point every stage becomes
-piecewise constant in the averaged law, so the loop can land exactly on a
-stationary point and the value change drops to zero instead of hovering at
-the Monte-Carlo noise floor.  Once the W2 stop fires the law is frozen, so
+All randomness (the draws of the initial law and the network's initial
+parameters) is derived from (seed, fixed tag) substreams that do not depend
+on the iteration counter, and the induced law is exact.  Near the fixed
+point every stage becomes piecewise constant in the averaged law, so the
+loop can land exactly on a stationary point and the value change drops to
+zero.  Once the W2 stop fires the law is frozen, so
 the iteration after the first frozen one repeats it bit for bit: it reuses
 that result and still writes its own trace rows and checkpoint (a resumed run
 recomputes it).  ``timing.txt`` holds the wall seconds, the count of reused
@@ -38,8 +40,9 @@ from .lattice import (StepSizes, build_lattice, control_grid,
                       validate_stepsizes, value_table_to_csv,
                       control_field_to_csv)
 from .measures import (average_update, fixed_point_gap, induced_measure,
-                       mean_path, measure_path_to_csv, systematic_resample,
-                       w2_stop_threshold)
+                       measure_path_to_csv, w2_stop_threshold)
+# not called here: perfbench/tracer.py wraps ``runner.systematic_resample``
+from .measures import systematic_resample  # noqa: F401
 from .network import (NetworkArchitecture, feedback, fit_to_grid, forward,
                       random_theta, save_checkpoint)
 from .problems import (LqParams, MfgProblem, lq_problem, mfg2d_problem,
@@ -75,7 +78,6 @@ CONFIG_SCHEMA = (
     ("iteration", "max_iters", "max_iters", int),
     ("iteration", "w2_q", "w2_q", float),
     ("iteration", "stop_rule", "stop_rule", str),
-    ("iteration", "n_particles", "n_particles", int),
     ("run", "seed", "seed", int),
     ("run", "out_dir", "out_dir", str),
     ("run", "n_eval_paths", "n_eval_paths", int),
@@ -111,7 +113,6 @@ class RunConfig:
     max_iters: int = 50_000
     w2_q: float = 0.5
     stop_rule: str = "either"         # either | both | w2 | value
-    n_particles: int = 2000
     seed: int = 0
     out_dir: str = "out"
     n_eval_paths: int = 3
@@ -128,7 +129,7 @@ class RunConfig:
             if cast is float and np.isnan(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number, got nan")
         for name in ("fit_max_steps", "sa_max_steps", "max_iters",
-                     "n_particles", "control_points"):
+                     "control_points"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_eval_paths < 0:
@@ -294,15 +295,22 @@ def reindex_mean_path(mbar_path: np.ndarray, steps_c: StepSizes,
     return mbar_path[idx]
 
 
-def _initial_law_path(problem, lattice, steps, config) -> np.ndarray:
-    """The chain's law under the midpoint control, from the initial law."""
-    base = lattice.points[lattice.indices_of(problem.initial_sampler(
-        substream(config.seed, "init"), config.n_particles))]
-    path = np.repeat(base[None], steps.n_time + 1, axis=0)
+#: Draws of the initial sampler whose node counts make the initial law.
+INITIAL_DRAWS = 20_000
+
+
+def _initial_law(problem, lattice, steps, seed: int) -> tuple:
+    """The node weights w0 (n_nodes,) of ``INITIAL_DRAWS`` draws of the
+    initial sampler on the ``"init"`` substream, snapped to the lattice, and
+    the chain's law from w0 under the midpoint control and the mean of w0."""
+    w0 = np.bincount(lattice.indices_of(problem.initial_sampler(
+        substream(seed, "init"), INITIAL_DRAWS)),
+        minlength=lattice.n_nodes) / INITIAL_DRAWS
     mid = problem.control_midpoint()
     field = np.broadcast_to(mid, (steps.n_time, lattice.n_nodes, len(mid)))
-    return induced_measure(problem, lattice, steps, field, mean_path(path),
-                           config.n_particles, config.seed)
+    mbar_path = np.broadcast_to(w0 @ lattice.points,
+                                (steps.n_time + 1, lattice.dims))
+    return w0, induced_measure(problem, lattice, steps, field, mbar_path, w0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +334,13 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                              or str(blob["sa_objective"]) != "exact"):
         raise ConfigError(f"{resume_file} was written under another SA "
                           "objective; start a fresh run without --resume")
+    # a particle path, or weights on another lattice, cannot be continued
+    law_shape = (steps_c.n_time + 1, lat_c.n_nodes)
+    if blob is not None and any(name not in blob
+                                or blob[name].shape != law_shape
+                                for name in ("m_bar", "m_induced")):
+        raise ConfigError(f"{resume_file} does not hold {law_shape} node "
+                          "weight tables; start a fresh run without --resume")
 
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "config.copy"), "w") as fh:
@@ -335,15 +350,15 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     # which lets the loop hit an exact stationary point
     theta_init = random_theta(arch, substream(config.seed, "theta0"))
     sa_seed = int(substream(config.seed, "sa").integers(2 ** 62))
-    induce_seed = int(substream(config.seed, "measure").integers(2 ** 62))
+    w0, m_bar = _initial_law(problem, lat_c, steps_c, config.seed)
 
     k_start = 1
     if blob is not None:
         k_start = int(blob["k"]) + 1
         m_bar = blob["m_bar"]
-        mbar_path = mean_path(m_bar)
+        mbar_path = m_bar @ lat_c.points
         v_prev = blob["v_fine"]
-        m_induced_prev = blob["m_induced"] if "m_induced" in blob else None
+        m_induced_prev = blob["m_induced"]
         theta = blob["theta"]
         first_w2 = int(blob["first_w2"]) if blob["first_w2"] >= 0 else None
         first_value = int(blob["first_value"]) if blob["first_value"] >= 0 \
@@ -359,8 +374,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         # replay the stop test: a run that stopped stays stopped
         w2_hit, value_hit = last["w2_hit"], last["value_hit"]
     else:
-        m_bar = _initial_law_path(problem, lat_c, steps_c, config)
-        mbar_path = mean_path(m_bar)
+        mbar_path = m_bar @ lat_c.points
         # value tables start from the terminal cost under the initial law
         g0 = problem.terminal_cost(lat_f.points, mbar_path[-1])
         v_prev = np.broadcast_to(g0, (steps_f.n_time + 1,
@@ -396,15 +410,12 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
             with _timed(stage_s, "measure"):
                 # Step 2: induced law of the controlled chain
                 m_new = induced_measure(problem, lat_c, steps_c, field_k,
-                                        mbar_path, config.n_particles,
-                                        induce_seed)
-                # Step 3: damped averaging, resampled to a fixed atom count
-                cloud, weights = average_update(m_bar, m_new, k)
-                m_bar = np.take(cloud, systematic_resample(
-                    weights, config.n_particles), axis=1)
-                mbar_path = mean_path(m_bar)
+                                        mbar_path, w0)
+                # Step 3: damped averaging
+                m_bar = average_update(m_bar, m_new, k)
+                mbar_path = m_bar @ lat_c.points
             with _timed(stage_s, "gap"):
-                gap = (fixed_point_gap(m_new, m_induced_prev)
+                gap = (fixed_point_gap(m_new, m_induced_prev, lat_c.points)
                        if m_induced_prev is not None else np.inf)
             m_induced_prev = m_new
         # Step 4: network fit to the grid policy (fixed init)
@@ -505,7 +516,8 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         for start, stop in time_blocks(steps_f.n_time, lat_f.n_nodes)])
     control_field_to_csv(os.path.join(out, "controls.csv"), lat_f, steps_f,
                          fine_field)
-    measure_path_to_csv(m_bar, steps_c, os.path.join(out, "measures.csv"))
+    measure_path_to_csv(os.path.join(out, "measures.csv"), lat_c, steps_c,
+                        m_bar)
     save_checkpoint(os.path.join(out, "theta_final.csv"), arch, theta)
     bundle = simulate_sde(problem, policy, mbar_path, config.n_eval_paths,
                           steps_c, int(substream(config.seed, "paths")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch
-from .lattice import csv_blocks, run_chain
+from .lattice import chain_step, csv_blocks, step_stencils
 from .seeding import substream
 
 
@@ -105,9 +105,9 @@ def simulate_sde(problem, policy, mbar_path, n_paths: int, steps, seed: int,
 
 def simulate_chain(problem, lattice, steps, controls, mbar_path,
                    n_paths: int, seed: int, x0=None) -> PathBundle:
-    """Paths of the chain under ``controls``, with the controls applied:
-    ``lattice.run_chain`` on the ``"chain"`` substream from ``x0`` snapped
-    to the lattice, or from the initial law."""
+    """Paths of the chain under the controls of ``lattice.step_stencils``,
+    with the controls applied: ``chain_step`` on the ``"chain"`` substream
+    from ``x0`` snapped to the lattice, or from the initial law."""
     rng = substream(seed, "chain")
     if x0 is None:
         nodes = lattice.indices_of(problem.initial_sampler(rng, n_paths))
@@ -115,8 +115,12 @@ def simulate_chain(problem, lattice, steps, controls, mbar_path,
         nodes = np.full(n_paths, lattice.index_of(np.asarray(x0, dtype=float)))
     states = np.empty((n_paths, steps.n_time + 1, problem.dim))
     applied = np.empty((n_paths, steps.n_time, problem.control_dim))
-    run_chain(problem, lattice, steps, controls, mbar_path, nodes, rng,
-              states.transpose(1, 0, 2), applied.transpose(1, 0, 2))
+    states[:, 0] = lattice.points[nodes]
+    for n, layer, probs in step_stencils(problem, lattice, steps, controls,
+                                         mbar_path):
+        applied[:, n] = layer[nodes]
+        nodes = chain_step(lattice, probs, nodes, rng)
+        states[:, n + 1] = lattice.points[nodes]
     return PathBundle(times=steps.times(), states=states, controls=applied)
 
 

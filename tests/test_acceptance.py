@@ -207,6 +207,20 @@ def test_criterion_09_2d_fixed_point(mfg2d_run):
     assert report.value_change < 1e-6
 
 
+@pytest.mark.parametrize("run", ["lq_run", "mfg2d_run"])
+def test_law_tables_are_laws(run, request):
+    """Every slice of the averaged and the last induced law of a shipped run
+    is a law on the coarse nodes: no negative weight, mass 1 within 1e-12."""
+    cfg, _ = request.getfixturevalue(run)
+    steps, lat = cfg.build()[1:3]
+    with np.load(os.path.join(cfg.out_dir, "resume_state.npz")) as blob:
+        for name in ("m_bar", "m_induced"):
+            law = blob[name]
+            assert law.shape == (steps.n_time + 1, lat.n_nodes)
+            assert law.min() >= 0.0, name
+            assert np.max(np.abs(law.sum(axis=1) - 1.0)) <= 1e-12, name
+
+
 @pytest.mark.xfail(
     reason="the expected monotone increase cannot arise from this "
            "benchmark's dynamics: the population mean rises toward the "

@@ -1,15 +1,16 @@
-"""Oracles for the backward recursion and the chain loop, each written once
-in ``lattice``.
+"""Oracles for the backward recursion, the chain loop and the forward
+equation, each written once in ``lattice``.
 
-The references below are the four loops the solver ran before the
-recursion and the chain loop were shared, one time step at a time: a DP
-sweep over the control grid, a policy sweep under one feedback control, the
-induced-measure simulation and the chain rollout.  The shared code, which
-evaluates controls, stencils and costs once per block of time steps, must
-give the same arrays on the shipped ``lq`` and ``mfg2d`` setups, at the
-coarse and the fine spacing, for grid and callable controls, and for blocks
-of one step, of a length that does not divide the step count, and of the
-whole horizon.  The exact SA evaluator, the same recursion over a stack of
+The references below are the loops the solver ran before the recursion and
+the chain loop were shared, one time step at a time: a DP sweep over the
+control grid, a policy sweep under one feedback control and the chain
+rollout.  The induced law has its own reference: products of the node
+weights with the dense transition matrix of each step, built row by row from
+``checks.transition_row``.  The shared code, which evaluates controls,
+stencils and costs once per block of time steps, must give the same arrays
+on the shipped ``lq`` and ``mfg2d`` setups, at the coarse and the fine
+spacing, for grid and callable controls, and for blocks of one step, of a
+length that does not divide the step count, and of the whole horizon.  The exact SA evaluator, the same recursion over a stack of
 parameter rows, must give the policy sweep's value at t = 0 for each row.
 
 Grid fields match bit for bit everywhere, and so do network policies on
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 
 from mfgsolver import lattice as lattice_module
+from mfgsolver.checks import transition_row
 from mfgsolver.lattice import (StepSizes, chain_step, dp_backward_sweep,
                                policy_start_values, policy_value_sweep,
                                stencil_probabilities)
@@ -79,21 +81,27 @@ def ref_policy_value_sweep(problem, lattice, steps, mbar_path, control_fn):
     return values
 
 
-def ref_induced_measure(problem, lattice, steps, controls, mbar_path,
-                        n_particles, seed):
-    rng = substream(seed, "induced")
-    nodes = lattice.indices_of(problem.initial_sampler(rng, n_particles))
-    path = np.empty((steps.n_time + 1, n_particles, lattice.dims))
-    path[0] = lattice.points[nodes]
+def dense_transitions(problem, lattice, steps, controls, mbar_path):
+    """The chain's (n_nodes, n_nodes) transition matrix of every step,
+    row by row from ``checks.transition_row``."""
+    mats = np.zeros((steps.n_time, lattice.n_nodes, lattice.n_nodes))
     for n in range(steps.n_time):
         t = n * steps.h2
         layer = controls(t, lattice.points) if callable(controls) \
             else controls[n]
-        probs = stencil_probabilities(problem, lattice, steps, t,
-                                      mbar_path[n], layer[:, None, :])[:, 0]
-        nodes = chain_step(lattice, probs, nodes, rng)
-        path[n + 1] = lattice.points[nodes]
-    return path
+        for i in range(lattice.n_nodes):
+            row = transition_row(problem, lattice, steps, t, i, mbar_path[n],
+                                 layer[i])
+            for j, p in row.targets:
+                mats[n, i, j] = p
+    return mats
+
+
+def ref_induced_measure(mats, w0):
+    law = [w0]
+    for mat in mats:
+        law.append(law[-1] @ mat)
+    return np.stack(law)
 
 
 def ref_simulate_chain(problem, lattice, steps, controls, mbar_path, n_paths,
@@ -204,14 +212,41 @@ def test_policy_sweep_calls_the_policy_once_per_step(setup, monkeypatch):
             [n * s.steps.h2 for n in range(s.steps.n_time)]
 
 
-def test_induced_measure_equals_reference(setup):
+@pytest.fixture(scope="module")
+def law_oracle(setup):
+    """The steps the forward-equation oracles cover, a start law with some
+    empty nodes, and the reference law path under each control of the setup:
+    its grid field, then its first network policy.  The fine setups stop
+    after 16 steps here, as in ``blocked``: each dense row costs a stencil
+    call over the whole lattice."""
     s = setup
-    for seed, ctrl in enumerate((s.field, s.policies[0])):
-        assert np.array_equal(
-            induced_measure(s.problem, s.lat, s.steps, ctrl, s.mbar_path, 300,
-                            seed),
-            ref_induced_measure(s.problem, s.lat, s.steps, ctrl, s.mbar_path,
-                                300, seed))
+    steps = s.steps if s.grid == "coarse" else \
+        StepSizes(s.steps.h1, s.steps.h2, 16)
+    w0 = np.random.default_rng(s.lat.n_nodes).dirichlet(
+        np.ones(s.lat.n_nodes))
+    w0[::3] = 0.0
+    w0 /= w0.sum()
+    refs = [ref_induced_measure(dense_transitions(
+        s.problem, s.lat, steps, ctrl, s.mbar_path), w0)
+        for ctrl in (s.field, s.policies[0])]
+    return steps, w0, refs
+
+
+def assert_law_matches(law, ref):
+    """Within 1e-12 of the reference, nonnegative, and of mass 1 within
+    1e-12 at every time."""
+    np.testing.assert_allclose(law, ref, rtol=0, atol=1e-12)
+    assert law.min() >= 0.0
+    np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_induced_measure_equals_reference(setup, law_oracle):
+    s = setup
+    steps, w0, refs = law_oracle
+    for ctrl, ref in zip((s.field, s.policies[0]), refs):
+        assert_law_matches(
+            induced_measure(s.problem, s.lat, steps, ctrl,
+                            s.mbar_path[:steps.n_time + 1], w0), ref)
 
 
 @pytest.mark.parametrize("start", ["initial law", "x0"])
@@ -300,15 +335,15 @@ def test_start_values_in_blocks_equal_reference(blocked, n_rows):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
-def test_induced_measure_in_blocks_equals_reference(blocked):
+def test_induced_measure_in_blocks_equals_reference(blocked, law_oracle):
     b = blocked
     b.block(b.lat.n_nodes)
-    for seed, ctrl in enumerate((b.field, b.policies[0])):
-        assert np.array_equal(
-            induced_measure(b.problem, b.lat, b.steps, ctrl, b.mbar_path, 300,
-                            seed),
-            ref_induced_measure(b.problem, b.lat, b.steps, ctrl, b.mbar_path,
-                                300, seed))
+    steps, w0, refs = law_oracle
+    assert steps == b.steps
+    for ctrl, ref in zip((b.field, b.policies[0]), refs):
+        assert_law_matches(
+            induced_measure(b.problem, b.lat, b.steps, ctrl, b.mbar_path, w0),
+            ref)
 
 
 @pytest.fixture(scope="module", params=["lq.cfg", "mfg2d.cfg"],
@@ -343,3 +378,24 @@ def test_exact_evaluator_equals_policy_sweeps(coarse_setup, n_rows):
         assert np.array_equal(exact, swept)
     else:
         np.testing.assert_allclose(exact, swept, rtol=1e-12, atol=0)
+
+
+def test_induced_mean_path_agrees_with_chains(coarse_setup):
+    """The exact law's mean path against 10,000 chains from one node under
+    a network policy: within 3 standard errors at the middle and the end of
+    the horizon."""
+    problem, steps, lat, mbar_path, arch = coarse_setup
+    policy = feedback(arch, random_theta(arch, np.random.default_rng(3),
+                                         scale=2.0))
+    start = lat.n_nodes // 3
+    w0 = np.zeros(lat.n_nodes)
+    w0[start] = 1.0
+    means = induced_measure(problem, lat, steps, policy, mbar_path,
+                            w0) @ lat.points
+    states = simulate_chain(problem, lat, steps, policy, mbar_path, 10_000,
+                            seed=8, x0=lat.points[start]).states
+    for n in (steps.n_time // 2, steps.n_time):
+        se = states[:, n].std(axis=0, ddof=1) / np.sqrt(len(states))
+        assert np.all(se > 0)
+        assert np.all(np.abs(states[:, n].mean(axis=0) - means[n])
+                      <= 3.0 * se), n

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mfgsolver.errors import LengthMismatch
-from mfgsolver.lattice import StepSizes, build_lattice, control_grid, \
-    dp_backward_sweep
+from mfgsolver.lattice import Lattice, StepSizes, build_lattice, \
+    control_grid, dp_backward_sweep
 from mfgsolver.measures import (average_update, fixed_point_gap,
-                                induced_measure, mean_path,
-                                measure_path_to_csv, systematic_resample,
-                                w2_stop_threshold, wasserstein2)
+                                induced_measure, measure_path_to_csv,
+                                systematic_resample, w2_stop_threshold,
+                                wasserstein2)
 from mfgsolver.problems import LqParams, lq_problem
 
 
@@ -19,9 +19,22 @@ def uniform(n):
     return np.full(n, 1.0 / n)
 
 
+def line_lattice(n):
+    """A 1-D lattice of n nodes with spacing 0.2."""
+    return Lattice(np.zeros(1), np.full(1, 0.2 * (n - 1)), 0.2)
+
+
+def snapped_law(lattice, rng, n_draws):
+    """Node weights of n_draws uniform draws over the box, snapped."""
+    draws = rng.uniform(lattice.lower, lattice.upper,
+                        (n_draws, lattice.dims))
+    return np.bincount(lattice.indices_of(draws),
+                       minlength=lattice.n_nodes) / n_draws
+
+
 # ---------------------------------------------------------------------------
-# Weighted-cloud reference: each slice a (particles, weights) pair, mixed and
-# resampled slice by slice
+# Weighted-cloud reference: each slice a (particles, weights) pair, mixed by
+# concatenation and resampled slice by slice
 # ---------------------------------------------------------------------------
 
 def reference_resample(particles, weights, n):
@@ -41,34 +54,13 @@ def reference_average(old_path, new_path, k):
     return out
 
 
-def reference_w2(a, b, n_atoms=256):
-    (pa, wa), (pb, wb) = a, b
-    if not (len(pa) == len(pb) and len(pa) <= n_atoms):
-        pa = reference_resample(pa, wa, n_atoms)[0]
-        pb = reference_resample(pb, wb, n_atoms)[0]
+def reference_w2(pa, pb):
     if pa.shape[1] == 1:
         return float(np.sqrt(np.mean((np.sort(pa[:, 0])
                                       - np.sort(pb[:, 0])) ** 2)))
     cost = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
-
-
-def as_weighted(path):
-    return [(sl, uniform(len(sl))) for sl in path]
-
-
-class TestMeanPath:
-    def test_mean(self):
-        path = np.array([[[0.0], [1.0], [1.0], [1.0]],
-                         [[2.0], [2.0], [4.0], [4.0]]])
-        np.testing.assert_allclose(mean_path(path), [[0.75], [3.0]])
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_equals_per_slice_weighted_mean(self, d):
-        path = np.random.default_rng(d).normal(size=(7, 2000, d))
-        expected = np.stack([uniform(2000) @ sl for sl in path])
-        assert np.array_equal(mean_path(path), expected)
 
 
 class TestResample:
@@ -94,44 +86,47 @@ class TestResample:
 
 class TestAverageUpdate:
     def test_k1_returns_new(self):
-        a = np.zeros((3, 4, 1))
-        b = np.random.default_rng(0).normal(size=(3, 4, 1))
-        cloud, w = average_update(a, b, 1)
-        assert w @ cloud[0][:, 0] == pytest.approx(b[0, :, 0].mean())
-        assert np.array_equal(
-            np.take(cloud, systematic_resample(w, 4), axis=1), b)
+        a = np.zeros((3, 4))
+        b = np.random.default_rng(0).dirichlet(np.ones(4), size=3)
+        assert np.array_equal(average_update(a, b, 1), b)
 
     @given(k=st.integers(2, 50))
     @settings(max_examples=20, deadline=None)
     def test_mean_is_convex_combination(self, k):
-        a = np.zeros((2, 1, 1))
-        b = np.ones((2, 1, 1))
-        cloud, w = average_update(a, b, k)
-        assert w @ cloud[0][:, 0] == pytest.approx(1.0 / k)
-        assert w.sum() == pytest.approx(1.0)
+        # all mass at node 0 (x = 0), then all at node 1 (x = 1)
+        a = np.array([[1.0, 0.0]] * 2)
+        b = np.array([[0.0, 1.0]] * 2)
+        w = average_update(a, b, k)
+        assert w[0] @ np.array([0.0, 1.0]) == pytest.approx(1.0 / k)
+        assert w[0].sum() == pytest.approx(1.0)
 
     def test_length_mismatch(self):
-        a = np.zeros((2, 1, 1))
-        b = np.zeros((3, 1, 1))
+        a = np.zeros((2, 1))
+        b = np.zeros((3, 1))
         with pytest.raises(LengthMismatch):
             average_update(a, b, 2)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_equals_weighted_cloud_reference(self, d):
-        # the runner's k = 1..6 sequence: mix, resample to n atoms, repeat
+        """The runner's k = 1..6 sequence of mixed node weights equals the
+        concatenated weighted clouds of the same laws, their weights summed
+        per node; the two sum in another order, so they match to rounding."""
         rng = np.random.default_rng(10 + d)
-        n = 300
-        m_bar = np.round(rng.normal(size=(4, n, d)), 1)
-        ref = as_weighted(m_bar)
+        lat = Lattice(np.zeros(d), np.ones(d), 0.25)
+        w_bar, ref = None, None
         for k in range(1, 7):
-            m_new = np.round(rng.normal(size=(4, n, d)), 1)
-            cloud, w = average_update(m_bar, m_new, k)
-            m_bar = np.take(cloud, systematic_resample(w, n), axis=1)
-            ref = [reference_resample(p, wt, n)
-                   for p, wt in reference_average(ref, as_weighted(m_new), k)]
-            assert np.array_equal(m_bar, np.stack([p for p, _ in ref])), k
-            assert np.array_equal(mean_path(m_bar),
-                                  np.stack([wt @ p for p, wt in ref])), k
+            w_new = rng.dirichlet(np.ones(lat.n_nodes), size=4)
+            w_bar = w_new if k == 1 else average_update(w_bar, w_new, k)
+            ref = reference_average(ref, [(lat.points, w) for w in w_new],
+                                    k)
+            collapsed = np.stack([np.bincount(lat.indices_of(p), wt,
+                                              lat.n_nodes) for p, wt in ref])
+            np.testing.assert_allclose(w_bar, collapsed, rtol=1e-13,
+                                       atol=1e-16)
+            np.testing.assert_allclose(
+                w_bar @ lat.points,
+                np.stack([wt @ p for p, wt in ref]),
+                rtol=1e-13, atol=1e-16)
 
 
 def brute_force_w2(a, b):
@@ -199,21 +194,34 @@ class TestWasserstein:
         with pytest.raises(ValueError):
             w2_stop_threshold(1.0, 0.2)
 
+    def test_unequal_sizes_raise(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(LengthMismatch):
+            wasserstein2(rng.normal(size=(40, 1)), rng.normal(size=(30, 1)))
+        with pytest.raises(LengthMismatch):
+            wasserstein2(rng.normal(size=(5, 2)), rng.normal(size=(6, 2)))
+
     def test_gap_over_path(self):
-        a = np.zeros((3, 1, 1))
-        b = np.array([0.0, 2.0, 1.0]).reshape(3, 1, 1)
-        assert fixed_point_gap(a, b) == pytest.approx(4.0)
+        # all mass at node 0 against all mass at nodes 0, 2 and 1
+        points = np.array([[0.0], [1.0], [2.0]])
+        a = np.array([[1.0, 0.0, 0.0]] * 3)
+        b = np.eye(3)[[0, 2, 1]]
+        assert fixed_point_gap(a, b, points) == pytest.approx(4.0)
 
     @pytest.mark.parametrize("d,n_a,n_b", [(1, 300, 300), (1, 40, 40),
                                            (1, 40, 30), (2, 300, 300),
                                            (2, 40, 40)])
     def test_gap_equals_per_slice_reference(self, d, n_a, n_b):
+        """Laws of n_a and n_b snapped draws, each row combed into 256 equal
+        atoms: the gap is the largest squared W2 of the reference."""
         rng = np.random.default_rng(d * 1000 + n_a + n_b)
-        a = rng.normal(size=(3, n_a, d))
-        b = rng.normal(size=(3, n_b, d))
-        ref = max(reference_w2(x, y) ** 2
-                  for x, y in zip(as_weighted(a), as_weighted(b)))
-        assert fixed_point_gap(a, b) == ref
+        lat = Lattice(np.zeros(d), np.ones(d), 0.2)
+        a = np.stack([snapped_law(lat, rng, n_a) for _ in range(3)])
+        b = np.stack([snapped_law(lat, rng, n_b) for _ in range(3)])
+        ref = max(reference_w2(reference_resample(lat.points, x, 256)[0],
+                               reference_resample(lat.points, y, 256)[0]) ** 2
+                  for x, y in zip(a, b))
+        assert fixed_point_gap(a, b, lat.points) == ref
 
 
 @pytest.fixture(scope="module")
@@ -230,48 +238,54 @@ def setup():
 class TestInducedMeasure:
     def test_deterministic(self, setup):
         problem, steps, lat, m0, field = setup
-        a = induced_measure(problem, lat, steps, field, m0, 200, seed=5)
-        b = induced_measure(problem, lat, steps, field, m0, 200, seed=5)
+        w0 = snapped_law(lat, np.random.default_rng(5), 200)
+        a = induced_measure(problem, lat, steps, field, m0, w0)
+        b = induced_measure(problem, lat, steps, field, m0, w0)
         np.testing.assert_array_equal(a, b)
 
     def test_supported_on_lattice(self, setup):
+        # a law over the lattice nodes at every time: nonnegative, mass 1
         problem, steps, lat, m0, field = setup
-        path = induced_measure(problem, lat, steps, field, m0, 100, seed=1)
-        assert path.shape == (steps.n_time + 1, 100, 1)
-        for sl in path:
-            idx = lat.indices_of(sl)
-            np.testing.assert_allclose(lat.points[idx], sl, atol=1e-12)
+        w0 = snapped_law(lat, np.random.default_rng(1), 100)
+        law = induced_measure(problem, lat, steps, field, m0, w0)
+        assert law.shape == (steps.n_time + 1, lat.n_nodes)
+        assert np.array_equal(law[0], w0)
+        assert law.min() >= 0.0
+        np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_mean_attracted_to_population_mean(self, setup):
         # optimal LQ control pulls states toward the frozen mean 0.5
         problem, steps, lat, m0, field = setup
-        path = induced_measure(problem, lat, steps, field, m0, 2000, seed=2)
-        assert abs(mean_path(path)[-1, 0] - 0.5) < 0.1
+        draws = problem.initial_sampler(np.random.default_rng(2), 2000)
+        w0 = np.bincount(lat.indices_of(draws), minlength=lat.n_nodes) / 2000
+        law = induced_measure(problem, lat, steps, field, m0, w0)
+        assert abs((law @ lat.points)[-1, 0] - 0.5) < 0.1
 
 
-def reference_measure_path_csv(path, steps, file_path):
-    n_particles, d = path.shape[1:]
-    weight = f"{1.0 / n_particles:.12g}"
-    header = "t,particle_id," + ",".join(f"x{i+1}" for i in range(d)) + ",weight"
+def reference_measure_path_csv(lattice, steps, law, file_path):
+    header = "t," + ",".join(f"x{i+1}" for i in range(lattice.dims)) \
+        + ",weight"
     with open(file_path, "w") as fh:
         fh.write(header + "\n")
-        for n, sl in enumerate(path):
+        for n, row in enumerate(law):
             t = n * steps.h2
-            for pid in range(n_particles):
-                coords = ",".join(f"{c:.12g}" for c in sl[pid])
-                fh.write(f"{t:.12g},{pid},{coords},{weight}\n")
+            for point, weight in zip(lattice.points, row):
+                coords = ",".join(f"{c:.12g}" for c in point)
+                fh.write(f"{t:.12g},{coords},{weight:.12g}\n")
 
 
 class TestCsv:
     @pytest.mark.parametrize("n,d", [(7, 1), (3, 2), (2000, 1)])
     def test_matches_reference(self, setup, tmp_path, n, d):
+        # n nodes per axis at spacing 0.2, most of which print inexactly
         steps = setup[1]
-        rng = np.random.default_rng(n)
-        path = rng.standard_normal((steps.n_time + 1, n, d)) * 1e3
-        path[0, 0] = -0.0
-        path[0, -1] = 0.123456789012345
-        measure_path_to_csv(path, steps, tmp_path / "a.csv")
-        reference_measure_path_csv(path, steps, tmp_path / "b.csv")
+        lat = Lattice(np.full(d, -1.0), np.full(d, 0.2 * (n - 1) - 1.0), 0.2)
+        law = np.random.default_rng(n).dirichlet(np.ones(lat.n_nodes),
+                                                 size=steps.n_time + 1)
+        law[0, 0] = 0.123456789012345
+        law[0, -1] = 1e-17
+        measure_path_to_csv(tmp_path / "a.csv", lat, steps, law)
+        reference_measure_path_csv(lat, steps, law, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
 
@@ -281,11 +295,13 @@ class TestCsv:
                                                     weight):
         # 1/n and n * h2 = n / 7 both need 12 significant digits
         steps = StepSizes(h1=0.2, h2=1 / 7, n_time=7)
-        path = np.random.default_rng(n).uniform(-3, 3, (8, n, 2))
-        measure_path_to_csv(path, steps, tmp_path / "a.csv")
-        reference_measure_path_csv(path, steps, tmp_path / "b.csv")
+        lat = line_lattice(n)
+        law = np.full((8, n), 1.0 / n)
+        measure_path_to_csv(tmp_path / "a.csv", lat, steps, law)
+        reference_measure_path_csv(lat, steps, law, tmp_path / "b.csv")
         text = (tmp_path / "a.csv").read_text()
         assert text == (tmp_path / "b.csv").read_text()
         lines = text.splitlines()
+        assert lines[0] == "t,x1,weight"
         assert lines[1 + 5 * n].startswith("0.714285714286,0,")
         assert all(line.endswith("," + weight) for line in lines[1:])

@@ -17,7 +17,7 @@ from mfgsolver import checks
 from mfgsolver.cli import main
 from mfgsolver.errors import ConfigError
 from mfgsolver.lattice import StepSizes
-from mfgsolver.measures import mean_path, wasserstein2
+from mfgsolver.measures import wasserstein2
 from mfgsolver.network import forward, grad_fit_loss_raw, load_checkpoint
 from mfgsolver.problems import riccati_ode_solve
 from mfgsolver.runner import CONFIG_SCHEMA, RunConfig, run_algorithm1
@@ -55,12 +55,19 @@ def tiny_lq_config(out_dir, **overrides):
         fit_trigger=1e-3, fit_max_steps=150,
         sa_max_steps=2,
         max_iters=3,
-        n_particles=100,
         seed=42,
         out_dir=str(out_dir),
     )
     kw.update(overrides)
     return RunConfig(**kw)
+
+
+#: A tiny lq run meets its value trigger at k=2: the LQ population mean
+#: stays near that of the initial law.  The tests of iterations 3 and 4 solve
+#: this small mfg2d setup instead, which, like configs/mfg2d.cfg, freezes its
+#: law at k=2 and, under stop_rule both or value, stops at k=4 by reusing k=3.
+TINY_MFG2D = dict(model="mfg2d", h1_coarse=0.25, h2_coarse=0.025,
+                  fit_max_steps=30)
 
 
 class TestRunConfig:
@@ -224,7 +231,7 @@ class TestRunner:
         or 4, or while writing the artifacts after its stop rule fired, and
         then resumed leaves the same files as an uninterrupted run."""
         full = tiny_lq_config(tmp_path / "full", max_iters=iters,
-                              stop_rule=rule)
+                              stop_rule=rule, **TINY_MFG2D)
         report = run_algorithm1(full)
         if rule == "either":
             assert (report.iterations, report.stopped_by) == (2, "w2")
@@ -233,7 +240,7 @@ class TestRunner:
             assert "replayed=1\n" in (tmp_path / "full" / "timing.txt"
                                        ).read_text()
         cfg = tiny_lq_config(tmp_path / "part", max_iters=iters,
-                             stop_rule=rule)
+                             stop_rule=rule, **TINY_MFG2D)
         real, calls = getattr(runner, name), itertools.count(1)
 
         def crash_on_call(*args, **kwargs):
@@ -269,7 +276,8 @@ class TestRunner:
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(runner, name, counted)
-        cfg = tiny_lq_config(tmp_path, max_iters=4, stop_rule=rule)
+        cfg = tiny_lq_config(tmp_path, max_iters=4, stop_rule=rule,
+                             **TINY_MFG2D)
         report = run_algorithm1(cfg)
         assert (report.iterations, report.first_w2_iter,
                 report.first_value_iter, report.stopped_by) == (4, 2, 4, rule)
@@ -300,10 +308,10 @@ class TestRunner:
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         full_cfg = tiny_lq_config(tmp_path / "full", max_iters=4,
-                                  stop_rule="value")
+                                  stop_rule="value", **TINY_MFG2D)
         run_algorithm1(full_cfg)
         part_cfg = tiny_lq_config(tmp_path / "part", max_iters=2,
-                                  stop_rule="value")
+                                  stop_rule="value", **TINY_MFG2D)
         run_algorithm1(part_cfg)
         part_cfg.max_iters = 4
         run_algorithm1(part_cfg, resume=True)
@@ -330,6 +338,28 @@ class TestRunner:
         path.write_text(cfg.to_ini())
         assert main(["solve", "--config", str(path), "--resume"]) == 2
         assert "another SA objective" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert after == before
+
+    def test_resume_particle_layout_exit_2(self, tmp_path, capsys):
+        """A state whose law is a particle path (n_time+1, n, d), as written
+        before the law became node weights, is refused and left alone."""
+        cfg = tiny_lq_config(tmp_path / "out", max_iters=2,
+                             stop_rule="value")
+        run_algorithm1(cfg)
+        state = tmp_path / "out" / "resume_state.npz"
+        with np.load(state) as blob:
+            old = {k: blob[k] for k in blob.files}
+        n_time = old["m_bar"].shape[0] - 1
+        cloud = np.random.default_rng(0).uniform(0, 1, (n_time + 1, 100, 1))
+        np.savez(state, **{**old, "m_bar": cloud, "m_induced": cloud})
+        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        cfg.max_iters = 4
+        path = tmp_path / "tiny.cfg"
+        path.write_text(cfg.to_ini())
+        assert main(["solve", "--config", str(path), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(state) in err
         after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
         assert after == before
 
@@ -423,6 +453,8 @@ class TestCli:
         ("lq.cfg", "sa", "control_band", "inf", "sa/control_band"),
         ("lq.cfg", "iteration", "initial_measure", "uncontrolled",
          "iteration/initial_measure"),
+        ("lq.cfg", "iteration", "n_particles", "2000",
+         "iteration/n_particles"),
         ("lq.cfg", "run", "n_eval_paths", "-1", "n_eval_paths")])
     def test_solve_bad_input_exit_2(self, tmp_path, capsys, name, section,
                                     key, value, named):
@@ -510,8 +542,8 @@ class TestCli:
 
     def test_simulate_uses_the_run_that_wrote_the_checkpoint(
             self, tmp_path, monkeypatch):
-        # h1 = 0.2: most nodes print inexactly, so measures.csv alone does
-        # not give the law's atoms back bit for bit
+        # h1 = 0.2: most nodes print inexactly, and so do the weights, so
+        # measures.csv gives the law back to 12 digits, not bit for bit
         cfg = tiny_lq_config(tmp_path / "out", model_params={"sigma": 0.3},
                              h1_coarse=0.2, h2_coarse=0.02)
         run_algorithm1(cfg)
@@ -526,12 +558,19 @@ class TestCli:
         monkeypatch.setattr(mfgsolver.simulate, "simulate_sde", recording_sde)
         assert main(["simulate", "--checkpoint", ckpt, "--paths", "3",
                      "--seed", "5", "--h2", "0.01", "--out", str(out)]) == 0
-        # the run's problem and law, the mean path reindexed to h2 = 0.01
-        problem = cfg.build_problem()
-        with np.load(os.path.join(cfg.out_dir, "resume_state.npz")) as blob:
-            mbar_path = mean_path(blob["m_bar"])[np.minimum(
-                np.rint(np.arange(101) * 0.01 / 0.02).astype(int), 50)]
+        # the run's problem and the law of its measures.csv, the mean path
+        # reindexed to h2 = 0.01; the run's own law to 12 digits
+        problem, _, lat_c = cfg.build()[:3]
+        reindex = np.minimum(np.rint(np.arange(101) * 0.01 / 0.02)
+                             .astype(int), 50)
+        law = np.loadtxt(os.path.join(cfg.out_dir, "measures.csv"),
+                         delimiter=",", skiprows=1)[:, -1].reshape(51, -1)
+        mbar_path = (law @ lat_c.points)[reindex]
         assert np.array_equal(seen[0], mbar_path)
+        with np.load(os.path.join(cfg.out_dir, "resume_state.npz")) as blob:
+            np.testing.assert_allclose(
+                mbar_path, (blob["m_bar"] @ lat_c.points)[reindex],
+                rtol=0, atol=1e-11)
         arch, theta = load_checkpoint(ckpt)
         bundle = simulate_sde(
             problem, lambda t, x: forward(arch, theta, np.full(len(x), t), x),
@@ -574,6 +613,25 @@ class TestCli:
                      str(run / "theta_final.csv"),
                      "--out", str(tmp_path / "sim.csv")]) == 2
         assert "dimension" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("tamper", ["negative weight", "truncated row"])
+    def test_simulate_tampered_measures_exit_2(self, tiny_run, tmp_path,
+                                               capsys, tamper):
+        cfg, _ = tiny_run
+        run = shutil.copytree(cfg.out_dir, tmp_path / "run")
+        lines = (run / "measures.csv").read_text().splitlines(keepends=True)
+        if tamper == "negative weight":
+            fields = lines[5].rstrip("\n").split(",")
+            fields[-1] = "-" + fields[-1]
+            lines[5] = ",".join(fields) + "\n"
+        else:
+            lines = lines[:-1]
+        (run / "measures.csv").write_text("".join(lines))
+        assert main(["simulate", "--checkpoint",
+                     str(run / "theta_final.csv"),
+                     "--out", str(tmp_path / "sim.csv")]) == 2
+        assert "measures.csv" in capsys.readouterr().err
         assert not (tmp_path / "sim.csv").exists()
 
     def test_simulate_missing_checkpoint_exit_2(self, tmp_path):

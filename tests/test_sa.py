@@ -230,7 +230,6 @@ def sequential_improvement(problem, lattice, steps, mbar_path, arch, theta,
 
 @pytest.fixture(scope="module", params=["lq", "mfg2d"])
 def oracle_setup(request, setup):
-    from mfgsolver.measures import mean_path
     from mfgsolver.problems import mfg2d_problem
     if request.param == "lq":
         problem, steps, lat, m, _ = setup
@@ -239,7 +238,7 @@ def oracle_setup(request, setup):
         steps = StepSizes.for_horizon(1.0, 0.25, 0.02)
         lat = build_lattice(problem, steps)
         cloud = substream(5, "oracle").uniform(0.0, 1.0, size=(50, 2))
-        m = mean_path(np.repeat(cloud[None], steps.n_time + 1, axis=0))
+        m = np.repeat(cloud.mean(axis=0)[None], steps.n_time + 1, axis=0)
     arch = NetworkArchitecture.for_problem(problem, hidden=(3,))
     return problem, steps, lat, m, arch
 
