@@ -202,8 +202,7 @@ def stencil_probabilities(problem, lattice: Lattice, steps: StepSizes,
                                  np.reshape(mbar, shape + (d,)), alphas),
                    dtype=float)
     b = np.broadcast_to(b, alphas.shape[:-1] + (d,))
-    a = np.stack([problem.diffusion_matrix(s) for s in t.tolist()]
-                 ).reshape(shape + (d, d))
+    a = problem.diffusion_matrix(t).reshape(shape + (d, d))
 
     n_off = 1 + 2 * d + 2 * d * (d - 1)
     probs = np.empty(b.shape[:-1] + (n_off,))

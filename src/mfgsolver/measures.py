@@ -12,12 +12,14 @@ and stops once the squared Wasserstein-2 gap drops below
 The gap compares two laws through equal-atom representations: systematic
 resampling with a midpoint comb turns each row into a fixed number of equal
 atoms on the nodes, deterministically.
+
+Only the W2 of clouds in d >= 2 needs ``scipy.optimize`` (for the assignment
+problem), so it is imported on the first such call and never by a 1-D run.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import LengthMismatch
 from .lattice import _grid_table_to_csv, step_stencils
@@ -48,6 +50,12 @@ def average_update(w_prev: np.ndarray, w_new: np.ndarray, k: int):
     if k < 1:
         raise ValueError("k must be >= 1")
     return (k - 1) / k * w_prev + w_new / k
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy's assignment solver on ``cost``, imported on the first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(cost)
 
 
 def wasserstein2(a: np.ndarray, b: np.ndarray) -> float:

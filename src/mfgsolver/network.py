@@ -5,6 +5,8 @@ the control box, so every forward call is admissible by construction.
 Inputs are affinely normalized to [-1, 1] per axis using the horizon and
 the state box, which keeps the default initialization well conditioned.
 Parameters live in a single flat vector, layer-major (W1, b1, W2, b2, ...).
+Gradients are vector-Jacobian products (``vjp``) on a cached forward pass,
+so a caller that has already run the pass does not run it again.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ def _unpack(arch: NetworkArchitecture, theta: np.ndarray):
 
 
 def _normalize_inputs(arch: NetworkArchitecture, t, x) -> np.ndarray:
+    """Normalized (t, x) rows, shape broadcast(t.shape, x.shape[:-1]) +
+    (input_dim,): t and x are normalized as given, then broadcast, so
+    points shared by many times are normalized once."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != arch.state_dim:
@@ -102,8 +107,11 @@ def _normalize_inputs(arch: NetworkArchitecture, t, x) -> np.ndarray:
     lo = np.asarray(arch.x_lower)
     hi = np.asarray(arch.x_upper)
     xn = 2.0 * (x - lo) / (hi - lo) - 1.0
-    tn = np.broadcast_to(tn, x.shape[:-1])
-    return np.concatenate([tn[..., None], xn], axis=-1)
+    inputs = np.empty(np.broadcast_shapes(tn.shape, xn.shape[:-1])
+                      + (arch.input_dim,))
+    inputs[..., 0] = tn
+    inputs[..., 1:] = xn
+    return inputs
 
 
 def _sigmoid(z):
@@ -133,25 +141,23 @@ def _forward_cached(arch: NetworkArchitecture, theta: np.ndarray,
 
 
 def forward(arch: NetworkArchitecture, theta: np.ndarray, t, x) -> np.ndarray:
-    """Control at (t, x), shape theta.shape[:-1] + x.shape[:-1] + (k,)."""
-    x = np.asarray(x, dtype=float)
+    """Control at (t, x), shape theta.shape[:-1] + broadcast(t.shape,
+    x.shape[:-1]) + (k,)."""
     theta = np.asarray(theta, dtype=float)
     inputs = _normalize_inputs(arch, t, x)
     flat = inputs.reshape(-1, arch.input_dim)
     out, _, _, _ = _forward_cached(arch, theta, flat)
-    return out.reshape(theta.shape[:-1] + x.shape[:-1] + (arch.control_dim,))
+    return out.reshape(theta.shape[:-1] + inputs.shape[:-1]
+                       + (arch.control_dim,))
 
 
 def feedback(arch: NetworkArchitecture, theta: np.ndarray):
     """The feedback policy (t, x) -> control of the (n, d) points ``x`` at
     one time ``t``, shape theta.shape[:-1] + (n, k), or at each time of a
     block ``t`` (B,), shape theta.shape[:-1] + (B, n, k), from one forward
-    pass over all (time, point) inputs."""
+    pass over all (time, point) inputs; the points are normalized once."""
     def policy(t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return forward(arch, theta, t[..., None],
-                       np.broadcast_to(x, t.shape + x.shape))
+        return forward(arch, theta, np.asarray(t, dtype=float)[..., None], x)
     return policy
 
 
@@ -161,15 +167,13 @@ def fit_loss(arch: NetworkArchitecture, theta: np.ndarray,
     return float(np.sum((out - targets) ** 2))
 
 
-def grad_fit_loss_raw(arch: NetworkArchitecture, theta: np.ndarray,
-                      inputs: np.ndarray, targets: np.ndarray):
-    """Loss and its exact gradient for the summed squared control mismatch."""
-    theta = np.asarray(theta, dtype=float)
-    out, s, cache, layers = _forward_cached(arch, theta, inputs)
-    loss = float(np.sum((out - targets) ** 2))
+def vjp(arch: NetworkArchitecture, fw, d_out: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product of the network outputs with ``d_out`` (B, k):
+    the flat gradient in theta of sum(d_out * out), from the cached forward
+    pass ``fw = _forward_cached(arch, theta, inputs)`` of one theta (r,)."""
+    _, s, cache, layers = fw
     lo = np.asarray(arch.u_lower)
     hi = np.asarray(arch.u_upper)
-    d_out = 2.0 * (out - targets)                       # (B, k)
     dz = d_out * (hi - lo) * s * (1.0 - s)              # output layer pre-act
     grads = []
     for li in range(len(layers) - 1, -1, -1):
@@ -182,9 +186,17 @@ def grad_fit_loss_raw(arch: NetworkArchitecture, theta: np.ndarray,
             da = dz @ w
             dz = da * (1.0 - cache[li] ** 2)            # tanh'
     grads.reverse()
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb])
+    return np.concatenate([np.concatenate([gw.ravel(), gb])
                            for gw, gb in grads])
-    return loss, flat
+
+
+def grad_fit_loss_raw(arch: NetworkArchitecture, theta: np.ndarray,
+                      inputs: np.ndarray, targets: np.ndarray):
+    """Loss and its exact gradient for the summed squared control mismatch."""
+    theta = np.asarray(theta, dtype=float)
+    fw = _forward_cached(arch, theta, inputs)
+    resid = fw[0] - targets
+    return float(np.sum(resid ** 2)), vjp(arch, fw, 2.0 * resid)
 
 
 def _fit_dataset(arch: NetworkArchitecture, control_field: np.ndarray,
@@ -208,6 +220,11 @@ def fit_to_grid(arch: NetworkArchitecture, theta0: np.ndarray,
     ``trigger`` or the step budget runs out.  The result is clamped into
     the parameter box |theta_j| <= m_bound, and the loss returned is that
     of the clamped parameters.
+
+    Each line-search trial runs one forward pass, and the gradient at an
+    accepted trial is ``vjp`` on that trial's cached pass, so a fit runs
+    one forward pass per trial, one for the start, and one more only when
+    the clamp moves theta.
     """
     inputs, targets = _fit_dataset(arch, control_field, lattice, steps)
     theta = np.asarray(theta0, dtype=float).copy()
@@ -220,7 +237,9 @@ def fit_to_grid(arch: NetworkArchitecture, theta0: np.ndarray,
         accepted = False
         for _ in range(40):
             cand = theta - lr * g
-            cand_loss = fit_loss(arch, cand, inputs, targets)
+            fw = _forward_cached(arch, cand, inputs)
+            resid = fw[0] - targets
+            cand_loss = float(np.sum(resid ** 2))
             if cand_loss <= loss - 1e-4 * lr * gnorm2:
                 accepted = True
                 break
@@ -228,13 +247,15 @@ def fit_to_grid(arch: NetworkArchitecture, theta0: np.ndarray,
         if not accepted:
             break
         decrement = loss - cand_loss
-        theta = cand
-        loss, g = grad_fit_loss_raw(arch, theta, inputs, targets)
+        theta, loss = cand, cand_loss
+        g = vjp(arch, fw, 2.0 * resid)
         lr = min(lr * 1.5, 1.0)
         if decrement < trigger:
             break
-    theta = np.clip(theta, -m_bound, m_bound)
-    return theta, fit_loss(arch, theta, inputs, targets)
+    clipped = np.clip(theta, -m_bound, m_bound)
+    if not np.array_equal(clipped, theta):
+        loss = fit_loss(arch, clipped, inputs, targets)
+    return clipped, loss
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ shape ``(..., d)``: ``(d,)`` at one time, or with leading axes that
 broadcast against ``x`` when a block of times is evaluated at once, in which
 case ``t`` has the same leading axes.  Each model projects from ``mbar``
 whatever it needs.  ``diffusion(t, x)`` returns a ``(d, d)`` matrix
-(state-independent for both benchmarks) at one scalar time.
+(state-independent for both benchmarks) at one scalar time;
+``MfgProblem.diffusion_matrix`` evaluates it over a block of times.
 """
 
 from __future__ import annotations
@@ -48,10 +49,14 @@ class MfgProblem:
     noise_rho: float = 0.0
     name: str = "custom"
 
-    def diffusion_matrix(self, t: float) -> np.ndarray:
-        """Covariance a = sigma sigma^T at time t (state-independent models)."""
-        s = np.asarray(self.diffusion(t, np.zeros(self.dim)), dtype=float)
-        return s @ s.T
+    def diffusion_matrix(self, t) -> np.ndarray:
+        """Covariance a = sigma sigma^T (state-independent models) at one
+        time ``t``, (d, d), or at each time of a block ``t`` (B,), (B, d, d):
+        one callback per time at one zero state, then one stacked product."""
+        x0 = np.zeros(self.dim)
+        s = np.stack([np.asarray(self.diffusion(ti, x0), dtype=float)
+                      for ti in np.ravel(t).tolist()])
+        return (s @ np.swapaxes(s, -1, -2)).reshape(np.shape(t) + s.shape[1:])
 
     def control_midpoint(self) -> np.ndarray:
         return 0.5 * (self.control_lower + self.control_upper)

@@ -201,6 +201,9 @@ class RunConfig:
         lat_f, controls, arch, schedule)``.
 
         A value one of them rejects raises ``ConfigError`` naming its keys.
+        A state of dimension >= 2 also loads ``scipy.optimize``, which its W2
+        gap needs, so the import is paid here rather than inside a timed
+        fixed-point iteration, and a broken scipy fails before any solve.
         """
         where = "bad model parameters"
         try:
@@ -220,6 +223,8 @@ class RunConfig:
                                   trigger=self.sa_trigger)
         except (ValueError, SolverError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        if problem.dim > 1:  # the assignment of measures.wasserstein2
+            import scipy.optimize  # noqa: F401
         return (problem, *grids, control_grid(problem, self.control_points),
                 arch, schedule)
 

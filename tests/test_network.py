@@ -1,13 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mfgsolver.network as network
 from mfgsolver.errors import LengthMismatch
-from mfgsolver.lattice import StepSizes, build_lattice
-from mfgsolver.network import (NetworkArchitecture, fit_loss, fit_to_grid,
+from mfgsolver.lattice import StepSizes, build_lattice, dp_backward_sweep
+from mfgsolver.network import (NetworkArchitecture, _fit_dataset,
+                               _forward_cached, fit_loss, fit_to_grid,
                                forward, grad_fit_loss_raw, load_checkpoint,
-                               random_theta, save_checkpoint, zero_theta)
+                               random_theta, save_checkpoint, vjp, zero_theta)
 from mfgsolver.problems import LqParams, lq_problem
+from mfgsolver.runner import RunConfig, _initial_law
+from mfgsolver.seeding import substream
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 @pytest.fixture(scope="module")
@@ -92,15 +100,116 @@ class TestGradient:
                       - fit_loss(arch, theta - e, inputs, targets)) / (2 * h)
                 assert g[j] == pytest.approx(fd, abs=1e-5 * max(1.0, abs(fd)))
 
+    def test_vjp_is_the_fit_gradient(self, arch):
+        """On the cached forward pass, ``vjp`` of 2 (out - targets) is the
+        gradient of ``grad_fit_loss_raw`` exactly and a central difference
+        of ``fit_loss`` to 1e-6 relative."""
+        rng = np.random.default_rng(7)
+        theta = random_theta(arch, rng, scale=1.5)
+        inputs = rng.uniform(-1, 1, (20, 3))
+        targets = rng.uniform(0, 1.5, (20, 2))
+        fw = _forward_cached(arch, theta, inputs)
+        g = vjp(arch, fw, 2.0 * (fw[0] - targets))
+        assert np.array_equal(g, grad_fit_loss_raw(arch, theta, inputs,
+                                                   targets)[1])
+        h = 1e-5
+        fd = np.empty(arch.n_params)
+        for j in range(arch.n_params):
+            e = np.zeros(arch.n_params)
+            e[j] = h
+            fd[j] = (fit_loss(arch, theta + e, inputs, targets)
+                     - fit_loss(arch, theta - e, inputs, targets)) / (2 * h)
+        assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(g))
+
     def test_zero_at_perfect_fit(self, arch):
         rng = np.random.default_rng(1)
         theta = random_theta(arch, rng)
         inputs = rng.uniform(-1, 1, (4, 3))
-        from mfgsolver.network import _forward_cached
         targets, _, _, _ = _forward_cached(arch, theta, inputs)
         loss, g = grad_fit_loss_raw(arch, theta, inputs, targets)
         assert loss == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
+
+
+def reference_fit(arch, theta0, control_field, lattice, steps, m_bound,
+                  trigger, max_steps):
+    """The fit loop as first written: a ``fit_loss`` call per line-search
+    trial, a fresh ``grad_fit_loss_raw`` at each accepted theta and a
+    ``fit_loss`` of the clamped result.  Returns (theta, loss, trials,
+    whether the clamp moved theta)."""
+    inputs, targets = _fit_dataset(arch, control_field, lattice, steps)
+    theta = np.asarray(theta0, dtype=float).copy()
+    loss, g = grad_fit_loss_raw(arch, theta, inputs, targets)
+    lr, trials = 1e-2, 0
+    for _ in range(max_steps):
+        gnorm2 = float(g @ g)
+        if gnorm2 == 0.0:
+            break
+        accepted = False
+        for _ in range(40):
+            cand = theta - lr * g
+            cand_loss = fit_loss(arch, cand, inputs, targets)
+            trials += 1
+            if cand_loss <= loss - 1e-4 * lr * gnorm2:
+                accepted = True
+                break
+            lr *= 0.5
+        if not accepted:
+            break
+        decrement = loss - cand_loss
+        theta = cand
+        loss, g = grad_fit_loss_raw(arch, theta, inputs, targets)
+        lr = min(lr * 1.5, 1.0)
+        if decrement < trigger:
+            break
+    clipped = np.clip(theta, -m_bound, m_bound)
+    return (clipped, fit_loss(arch, clipped, inputs, targets), trials,
+            not np.array_equal(clipped, theta))
+
+
+@pytest.fixture(scope="module", params=["lq.cfg", "mfg2d.cfg"],
+                ids=lambda name: name[:-4])
+def shipped_fit(request):
+    """The first fit of a shipped run: the arguments ``fit_to_grid`` gets at
+    k = 1 (the DP field under the initial law, the run's theta0 and fit
+    settings), and the reference loop's result on them."""
+    with open(os.path.join(CONFIG_DIR, request.param)) as fh:
+        cfg = RunConfig.from_ini(fh.read())
+    problem, steps, lat, _, _, controls, arch, _ = cfg.build()
+    _, law = _initial_law(problem, lat, steps, cfg.seed)
+    _, field = dp_backward_sweep(problem, lat, steps, law @ lat.points,
+                                 controls)
+    args = (arch, random_theta(arch, substream(cfg.seed, "theta0")), field,
+            lat, steps, cfg.m_bound, cfg.fit_trigger, cfg.fit_max_steps)
+    return args, reference_fit(*args)
+
+
+class TestShippedFit:
+    """The fit reuses each accepted trial's forward pass for the gradient;
+    on the first fit of both shipped runs it must return the reference
+    loop's theta and loss bit for bit, with fewer forward passes."""
+
+    def test_equals_reference(self, shipped_fit):
+        args, (ref_theta, ref_loss, trials, _) = shipped_fit
+        theta, loss = fit_to_grid(*args)
+        assert trials >= 2
+        assert np.array_equal(theta, ref_theta)
+        assert loss == ref_loss
+
+    def test_one_forward_pass_per_trial(self, shipped_fit, monkeypatch):
+        """(trials + 1) passes, plus 1 for the loss when the clamp moves
+        theta; the lq fit stays inside the box and the mfg2d fit leaves it."""
+        args, (_, _, trials, moved) = shipped_fit
+        calls = []
+
+        def counting(*a):
+            calls.append(1)
+            return _forward_cached(*a)
+
+        monkeypatch.setattr(network, "_forward_cached", counting)
+        fit_to_grid(*args)
+        assert moved == (args[0].state_dim == 2)
+        assert len(calls) == trials + 1 + moved
 
 
 class TestFit:
@@ -125,7 +234,6 @@ class TestFit:
         rng = np.random.default_rng(3)
         field = rng.uniform(-1, 1, (steps.n_time, lat.n_nodes, 1))
         theta0 = random_theta(arch, rng)
-        from mfgsolver.network import _fit_dataset
         inputs, targets = _fit_dataset(arch, field, lat, steps)
         start = fit_loss(arch, theta0, inputs, targets)
         theta, end = fit_to_grid(arch, theta0, field, lat, steps, 10.0,
@@ -141,7 +249,6 @@ class TestFit:
         rng = np.random.default_rng(5)
         field = rng.uniform(-1, 1, (steps.n_time, lat.n_nodes, 1))
         theta0 = random_theta(arch, rng, scale=2.0)
-        from mfgsolver.network import _fit_dataset
         inputs, targets = _fit_dataset(arch, field, lat, steps)
         theta, loss = fit_to_grid(arch, theta0, field, lat, steps, 0.1,
                                   trigger=1e-6, max_steps=200)
