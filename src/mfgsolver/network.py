@@ -6,7 +6,10 @@ Inputs are affinely normalized to [-1, 1] per axis using the horizon and
 the state box, which keeps the default initialization well conditioned.
 Parameters live in a single flat vector, layer-major (W1, b1, W2, b2, ...).
 Gradients are vector-Jacobian products (``vjp``) on a cached forward pass,
-so a caller that has already run the pass does not run it again.
+so a caller that has already run the pass does not run it again.  The grid
+fit and the SA stage descend by one projected line-search step,
+``backtracking_step``, so their iterates stay in the box |theta_j| <=
+m_bound.
 """
 
 from __future__ import annotations
@@ -199,63 +202,75 @@ def grad_fit_loss_raw(arch: NetworkArchitecture, theta: np.ndarray,
     return float(np.sum(resid ** 2)), vjp(arch, fw, 2.0 * resid)
 
 
+def _grid_inputs(arch: NetworkArchitecture, lattice, steps) -> np.ndarray:
+    """Normalized inputs of every (t_n, x) row, n < n_time, time-major."""
+    times = np.arange(steps.n_time) * steps.h2
+    return _normalize_inputs(arch, np.repeat(times, lattice.n_nodes),
+                             np.tile(lattice.points, (steps.n_time, 1)))
+
+
 def _fit_dataset(arch: NetworkArchitecture, control_field: np.ndarray,
                  lattice, steps):
-    n_time = control_field.shape[0]
-    times = np.arange(n_time) * steps.h2
-    t_col = np.repeat(times, lattice.n_nodes)
-    x_rows = np.tile(lattice.points, (n_time, 1))
-    inputs = _normalize_inputs(arch, t_col, x_rows)
-    targets = control_field.reshape(-1, arch.control_dim)
-    return inputs, targets
+    return _grid_inputs(arch, lattice, steps), control_field.reshape(
+        -1, arch.control_dim)
+
+
+#: Length of the first trial step of a descent by ``backtracking_step``.
+FIRST_STEP = 1e-2
+
+
+def backtracking_step(trial, theta: np.ndarray, loss: float, g: np.ndarray,
+                      lr: float, m_bound: float):
+    """One projected backtracking step on a loss with gradient ``g`` at
+    ``theta``: the trial clip(theta - lr g, +-m_bound) is accepted when its
+    loss, ``trial(cand) -> (loss, aux)``, is <= loss + 1e-4 g . (cand -
+    theta); each rejection halves ``lr``, at most 40 times.  Returns ``(lr,
+    cand, loss, aux)`` of the accepted trial, or None when none is accepted
+    or the step would not move theta (a zero projected gradient).  The
+    caller's next step starts from min(1.5 lr, 1)."""
+    for _ in range(40):
+        cand = np.clip(theta - lr * g, -m_bound, m_bound)
+        if np.array_equal(cand, theta):
+            return None
+        cand_loss, aux = trial(cand)
+        if cand_loss <= loss + 1e-4 * float(g @ (cand - theta)):
+            return lr, cand, cand_loss, aux
+        lr *= 0.5
+    return None
 
 
 def fit_to_grid(arch: NetworkArchitecture, theta0: np.ndarray,
                 control_field: np.ndarray, lattice, steps, m_bound: float,
                 trigger: float = 1e-3, max_steps: int = 10_000):
-    """Least-squares fit of the network to a grid control field.
-
-    Gradient descent with backtracking line search (loss never increases
-    across accepted steps); stops when the loss decrement falls below
-    ``trigger`` or the step budget runs out.  The result is clamped into
-    the parameter box |theta_j| <= m_bound, and the loss returned is that
-    of the clamped parameters.
-
-    Each line-search trial runs one forward pass, and the gradient at an
-    accepted trial is ``vjp`` on that trial's cached pass, so a fit runs
-    one forward pass per trial, one for the start, and one more only when
-    the clamp moves theta.
+    """Least-squares fit of the network to a grid control field by
+    ``backtracking_step`` from ``theta0`` clipped into the box |theta_j| <=
+    m_bound, so every iterate stays in the box and the loss never rises.
+    Stops when an accepted step lowers the loss by less than ``trigger``,
+    when no step is accepted, or after ``max_steps``; returns the last
+    accepted theta and its loss.  The gradient at an accepted trial is
+    ``vjp`` on that trial's cached forward pass.
     """
     inputs, targets = _fit_dataset(arch, control_field, lattice, steps)
-    theta = np.asarray(theta0, dtype=float).copy()
+    theta = np.clip(theta0, -m_bound, m_bound)
     loss, g = grad_fit_loss_raw(arch, theta, inputs, targets)
-    lr = 1e-2
+
+    def trial(cand):
+        fw = _forward_cached(arch, cand, inputs)
+        resid = fw[0] - targets
+        return float(np.sum(resid ** 2)), (fw, resid)
+
+    lr = FIRST_STEP
     for _ in range(max_steps):
-        gnorm2 = float(g @ g)
-        if gnorm2 == 0.0:
+        step = backtracking_step(trial, theta, loss, g, lr, m_bound)
+        if step is None:
             break
-        accepted = False
-        for _ in range(40):
-            cand = theta - lr * g
-            fw = _forward_cached(arch, cand, inputs)
-            resid = fw[0] - targets
-            cand_loss = float(np.sum(resid ** 2))
-            if cand_loss <= loss - 1e-4 * lr * gnorm2:
-                accepted = True
-                break
-            lr *= 0.5
-        if not accepted:
-            break
-        decrement = loss - cand_loss
-        theta, loss = cand, cand_loss
+        lr, theta, new_loss, (fw, resid) = step
         g = vjp(arch, fw, 2.0 * resid)
         lr = min(lr * 1.5, 1.0)
+        loss, decrement = new_loss, loss - new_loss
         if decrement < trigger:
             break
-    clipped = np.clip(theta, -m_bound, m_bound)
-    if not np.array_equal(clipped, theta):
-        loss = fit_loss(arch, clipped, inputs, targets)
-    return clipped, loss
+    return theta, loss
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Each global iteration: dynamic programming on the coarse lattice under the
 current averaged law, the induced law by the chain's forward equation, 1/k
 averaging, least-squares fit of the network to the grid policy,
-stochastic-approximation refinement, then a value sweep on the fine lattice
-under the network control.
+projected gradient ascent on the exact objective, then a value sweep on the
+fine lattice under the network control.
 Stops on the Wasserstein gap, the value change, or both, per the configured
 rule.  The coarse value table feeds only ``value_coarse.csv``, so it is swept
 once, after the loop.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -47,7 +48,7 @@ from .network import (NetworkArchitecture, feedback, fit_to_grid, forward,
                       random_theta, save_checkpoint)
 from .problems import (LqParams, MfgProblem, lq_problem, mfg2d_problem,
                        riccati_closed_form)
-from .sa import SaSchedule, improvement, train
+from .sa import gradient, improvement, train
 from .seeding import substream
 from .simulate import paths_to_csv, simulate_sde
 
@@ -67,12 +68,7 @@ CONFIG_SCHEMA = (
     ("network", "hidden", "hidden", _widths),
     ("fit", "trigger", "fit_trigger", float),
     ("fit", "max_steps", "fit_max_steps", int),
-    ("sa", "eps0", "eps0", float),
-    ("sa", "delta0", "delta0", float),
-    ("sa", "p_eps", "p_eps", float),
-    ("sa", "p_delta", "p_delta", float),
     ("sa", "max_steps", "sa_max_steps", int),
-    ("sa", "trigger", "sa_trigger", float),
     ("sa", "m_bound", "m_bound", float),
     ("iteration", "trigger", "iter_trigger", float),
     ("iteration", "max_iters", "max_iters", int),
@@ -102,12 +98,7 @@ class RunConfig:
     hidden: tuple = (8,)
     fit_trigger: float = 1e-3
     fit_max_steps: int = 10_000
-    eps0: float = 1.0
-    delta0: float = 0.5
-    p_eps: float = 1.0
-    p_delta: float = 0.25
     sa_max_steps: int = 5000
-    sa_trigger: float = 1e-5
     m_bound: float = 10.0
     iter_trigger: float = 1e-6
     max_iters: int = 50_000
@@ -134,7 +125,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_eval_paths < 0:
             raise ConfigError("n_eval_paths must be >= 0")
-        for name in ("fit_trigger", "sa_trigger", "iter_trigger", "m_bound"):
+        for name in ("fit_trigger", "iter_trigger", "m_bound"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.w2_q < 1.0:
@@ -198,7 +189,7 @@ class RunConfig:
 
     def build(self) -> tuple:
         """The objects a solve consumes: ``(problem, steps_c, lat_c, steps_f,
-        lat_f, controls, arch, schedule)``.
+        lat_f, controls, arch)``.
 
         A value one of them rejects raises ``ConfigError`` naming its keys.
         A state of dimension >= 2 also loads ``scipy.optimize``, which its W2
@@ -216,17 +207,12 @@ class RunConfig:
                 grids += [steps, build_lattice(problem, steps)]
             where = f"hidden={self.hidden}"
             arch = NetworkArchitecture.for_problem(problem, hidden=self.hidden)
-            where = "sa schedule"
-            schedule = SaSchedule(eps0=self.eps0, delta0=self.delta0,
-                                  p_eps=self.p_eps, p_delta=self.p_delta,
-                                  max_steps=self.sa_max_steps,
-                                  trigger=self.sa_trigger)
         except (ValueError, SolverError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         if problem.dim > 1:  # the assignment of measures.wasserstein2
             import scipy.optimize  # noqa: F401
         return (problem, *grids, control_grid(problem, self.control_points),
-                arch, schedule)
+                arch)
 
 
 @dataclass
@@ -300,6 +286,9 @@ def reindex_mean_path(mbar_path: np.ndarray, steps_c: StepSizes,
     return mbar_path[idx]
 
 
+#: The SA tag of ``resume_state.npz``: projected ascent on the exact gradient.
+SA_TAG = "exact-ascent"
+
 #: Draws of the initial sampler whose node counts make the initial law.
 INITIAL_DRAWS = 20_000
 
@@ -326,17 +315,17 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     out = config.out_dir
     t_start = time.monotonic()
 
-    problem, steps_c, lat_c, steps_f, lat_f, controls, arch, schedule = \
-        config.build()
+    problem, steps_c, lat_c, steps_f, lat_f, controls, arch = config.build()
     _check_stepsizes(problem, ((lat_c, steps_c), (lat_f, steps_f)), controls)
     threshold = w2_stop_threshold(config.w2_q, config.h1_coarse)
     resume_file = os.path.join(out, "resume_state.npz")
     blob = np.load(resume_file) if resume and os.path.exists(resume_file) \
         else None
     # a state without the tag was written when SA scored the Monte-Carlo
-    # estimate; its best G cannot be continued under the exact objective
+    # estimate, one tagged "exact" by Kiefer-Wolfowitz steps on the exact
+    # objective; continuing either would mix two optimisers in one run
     if blob is not None and ("sa_objective" not in blob
-                             or str(blob["sa_objective"]) != "exact"):
+                             or str(blob["sa_objective"]) != SA_TAG):
         raise ConfigError(f"{resume_file} was written under another SA "
                           "objective; start a fresh run without --resume")
     # a particle path, or weights on another lattice, cannot be continued
@@ -354,7 +343,6 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     # fixed-seed substreams: identical inputs give identical iterations,
     # which lets the loop hit an exact stationary point
     theta_init = random_theta(arch, substream(config.seed, "theta0"))
-    sa_seed = int(substream(config.seed, "sa").integers(2 ** 62))
     w0, m_bar = _initial_law(problem, lat_c, steps_c, config.seed)
 
     k_start = 1
@@ -429,15 +417,18 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                 arch, theta_init, field_k, lat_c, steps_c,
                 trigger=config.fit_trigger, max_steps=config.fit_max_steps,
                 m_bound=config.m_bound)
-        # Step 5: stochastic-approximation refinement
+        # Step 5: projected gradient ascent on the exact objective
         with _timed(stage_s, "sa"):
             sa_trace: list = []
 
-            def evaluator(thetas, eval_seed, _m=mbar_path):
-                return improvement(problem, lat_c, steps_c, _m, arch, thetas)
+            def objective(theta):
+                return float(improvement(problem, lat_c, steps_c, mbar_path,
+                                         arch, theta[None])[0])
 
-            theta = train(theta0, schedule, config.m_bound, evaluator,
-                          sa_seed, trace=sa_trace)
+            theta = train(theta0, config.m_bound, config.sa_max_steps,
+                          objective, functools.partial(
+                              gradient, problem, lat_c, steps_c, mbar_path,
+                              arch), trace=sa_trace)
 
         # Step 6: value sweep on the fine lattice under the network control
         with _timed(stage_s, "fine_sweep"):
@@ -469,8 +460,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
             fit_final_loss, sa_trace, theta, v_k = result
             for entry in sa_trace:
                 trace_sa.write(json.dumps({**entry, "k": k}) + "\n")
-            if sa_trace:
-                best_g = max(best_g, max(e["G"] for e in sa_trace))
+            best_g = max(best_g, *(e["G"] for e in sa_trace))
             # Step 7: squared value change on the fine lattice
             value_change = float(np.sum((v_k - v_prev) ** 2))
             v_prev = v_k
@@ -500,7 +490,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                              first_w2=-1 if first_w2 is None else first_w2,
                              first_value=-1 if first_value is None
                              else first_value,
-                             best_g=best_g, sa_objective="exact")
+                             best_g=best_g, sa_objective=SA_TAG)
                 os.replace(resume_file + ".tmp", resume_file)
     finally:
         trace_fp.close()

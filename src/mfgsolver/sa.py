@@ -1,68 +1,27 @@
-"""Projected Kiefer-Wolfowitz refinement of the policy parameters.
+"""Projected gradient ascent of the policy parameters on the exact objective.
 
-The scalar objective is the negative average, over the state lattice, of
-the chain's expected cost from t = 0; each coordinate of the gradient
-estimate is a central finite difference of two evaluations.  The iterate is
-projected onto the parameter box |theta_j| <= m_bound, the bounded region of
-projected KW (Kushner & Yin, Stochastic Approximation and Recursive
-Algorithms and Applications, 2003).
-
-Evaluator contract: ``evaluator(thetas, seed)`` maps a (P, r) stack of
-parameter vectors to their P objective values.  A KW step is one call on
-the (2r+1, r) stack [theta, theta + delta e_1, theta - delta e_1, ...],
-with one seed for all rows, so a noisy evaluator gets common random
-numbers.  The solve's evaluator is ``improvement``, the objective itself:
-one backward recursion of the chain over the stack
-(``lattice.policy_start_values``), with one forward pass of the stack's
-networks per block of time steps.  It draws nothing and ignores the seed,
-so the finite differences carry no sampling noise.  It replaces the paper's
-Monte-Carlo estimate of the same expectation (chains from every node),
-which is kept in the tests as the reference it agrees with in mean.
+G(theta) (``improvement``) is minus the average over the state lattice of
+the chain's expected cost from t = 0 under the network policy: one backward
+recursion, drawing nothing, in place of the paper's Monte-Carlo estimate
+(kept in the tests as a reference).  Its gradient (``gradient``) is one
+adjoint pass, the policy-gradient theorem on a finite-horizon chain (Sutton
+et al., "Policy gradient methods for reinforcement learning with function
+approximation", 2000).  A step (``kw_step``) is ``network.backtracking_step``
+on -G inside the box |theta_j| <= m_bound: the delta -> 0 limit of projected
+Kiefer-Wolfowitz (Kushner & Yin, Stochastic Approximation and Recursive
+Algorithms and Applications, 2003), with G nondecreasing along the iterates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFiniteEvaluation
-from .lattice import policy_start_values
-from .network import feedback
-from .seeding import substream
-
-
-@dataclass
-class SaSchedule:
-    """Stepsize sequences eps_l = eps0/(l+1)^p_eps, delta_l = delta0/(l+1)^p_delta.
-
-    The exponents must satisfy: eps -> 0 with divergent sum (p_eps <= 1),
-    eps/delta -> 0 (p_eps > p_delta), and summable (eps/delta)^2
-    (2(p_eps - p_delta) > 1).  Violations raise at construction.
-    """
-
-    eps0: float = 1.0
-    delta0: float = 0.5
-    p_eps: float = 1.0
-    p_delta: float = 0.25
-    max_steps: int = 5000
-    trigger: float = 1e-5
-
-    def __post_init__(self):
-        if self.eps0 <= 0 or self.delta0 <= 0:
-            raise ValueError("eps0 and delta0 must be positive")
-        if self.p_eps > 1.0:
-            raise ValueError("p_eps > 1 makes the stepsize sum finite")
-        if self.p_delta >= self.p_eps:
-            raise ValueError("need p_delta < p_eps so eps/delta -> 0")
-        if 2.0 * (self.p_eps - self.p_delta) <= 1.0:
-            raise ValueError("need 2(p_eps - p_delta) > 1 for summability")
-
-    def eps(self, l: int) -> float:
-        return self.eps0 / (l + 1) ** self.p_eps
-
-    def delta(self, l: int) -> float:
-        return self.delta0 / (l + 1) ** self.p_delta
+from .lattice import (policy_start_values, policy_value_sweep,
+                      stencil_probabilities, time_blocks)
+from .measures import induced_measure
+from .network import (FIRST_STEP, _forward_cached, _grid_inputs,
+                      backtracking_step, feedback, vjp)
 
 
 def improvement(problem, lattice, steps, mbar_path, arch,
@@ -82,76 +41,99 @@ def improvement(problem, lattice, steps, mbar_path, arch,
     return g
 
 
-def kw_step(theta, schedule: SaSchedule, m_bound: float, evaluator, l: int,
-            eval_seed: int):
-    """One central-finite-difference update, projected onto the box
-    |theta_j| <= ``m_bound``.
+def gradient(problem, lattice, steps, mbar_path, arch,
+             theta) -> np.ndarray:
+    """The gradient in theta (r,) of ``improvement`` of that one row,
 
-    The 2r+1 evaluations are one ``evaluator`` call on the stacked points,
-    all with ``eval_seed`` (common random numbers).
-    Returns ``(theta_next, info)``, with z_l and whether the box cut the step.
+        -sum_n sum_x lambda_n(x) d_a Q_n(x, alpha_n(x)) . d alpha_n(x)/d theta,
+
+    with lambda_n the law of the chain from uniform node weights
+    (``induced_measure``), V the ``policy_value_sweep`` table and
+    Q_n(x, a) = sum_o p_o(x, a) V_{n+1}(neighbour_o(x)) + f(t_n, x, a) h2.
+    d_a Q is a central difference per control component (kicks of 1e-6 of
+    the control box, cut at its faces), exact up to rounding since the
+    stencil is piecewise linear in the control and the costs quadratic; the
+    sum is one ``vjp`` over all (t_n, x) rows.
     """
-    theta = np.asarray(theta, dtype=float)
-    r = theta.shape[0]
-    eps = schedule.eps(l)
-    delta = schedule.delta(l)
-    kicks = delta * np.eye(r)
-    thetas = np.tile(theta, (2 * r + 1, 1))
-    thetas[1::2] += kicks
-    thetas[2::2] -= kicks
-    g = evaluator(thetas, eval_seed)
-    g_here = float(g[0])
-    k_vec = (g[1::2] - g[2::2]) / (2.0 * delta)
-    if not np.all(np.isfinite(k_vec)) or not np.isfinite(g_here):
-        raise NonFiniteEvaluation("non-finite objective in kw_step")
-    free = theta + eps * k_vec
-    cand = np.clip(free, -m_bound, m_bound)
-    z = (cand - theta - eps * k_vec) / eps
-    info = {
-        "l": l,
-        "G": g_here,
-        "eps": eps,
-        "delta": delta,
-        "grad_norm": float(np.linalg.norm(k_vec)),
-        "projected": bool(np.any(cand != free)),
-        "z": z,
-    }
-    return cand, info
+    policy = feedback(arch, theta)
+    values = policy_value_sweep(problem, lattice, steps, mbar_path, policy)
+    n_nodes, k = lattice.n_nodes, arch.control_dim
+    law = induced_measure(problem, lattice, steps, policy, mbar_path,
+                          np.full(n_nodes, 1.0 / n_nodes))
+    fw = _forward_cached(arch, theta, _grid_inputs(arch, lattice, steps))
+    alphas = fw[0].reshape(steps.n_time, n_nodes, 1, k)
+    lo, hi = problem.control_lower, problem.control_upper
+    kicks = np.diag(1e-6 * (hi - lo))
+    up, down = np.minimum(alphas + kicks, hi), np.maximum(alphas - kicks, lo)
+    width = np.diagonal(up - down, axis1=-2, axis2=-1)      # (n_time, n, k)
+    neigh = lattice.neighbor_indices()
+    points = lattice.points[:, None, :]
+    d_out = np.empty((steps.n_time, n_nodes, k))
+    for start, stop in time_blocks(steps.n_time, n_nodes * 2 * k):
+        ts = np.arange(start, stop) * steps.h2
+        mbar = mbar_path[start:stop]
+        probe = np.concatenate([up[start:stop], down[start:stop]], axis=2)
+        q = np.einsum("bnjo,bno->bnj", stencil_probabilities(
+            problem, lattice, steps, ts, mbar, probe),
+            values[start + 1:stop + 1][:, neigh])
+        q += problem.running_cost(ts[:, None, None], points,
+                                  mbar[:, None, None], probe) * steps.h2
+        d_out[start:stop] = (law[start:stop, :, None]
+                             * (q[..., :k] - q[..., k:]) / width[start:stop])
+    grad = -vjp(arch, fw, d_out.reshape(-1, k))
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteEvaluation("gradient evaluation is not finite")
+    return grad
 
 
-def train(theta_init, schedule: SaSchedule, m_bound: float, evaluator,
-          seed: int, ma_window: int = 10, trace: list | None = None):
-    """Iterate kw_step in the box |theta_j| <= ``m_bound`` until the
-    moving-average objective change stalls.
-
-    Stops when |MA(G) change| < trigger (window ``ma_window``), when the
-    update vanishes, or at max_steps.  Returns the evaluated iterate with
-    the best objective.  A step evaluates G at its starting point only, so
-    the candidate of the last step is neither evaluated nor returned.
+def kw_step(theta, g_here: float, grad, lr: float, m_bound: float,
+            objective, grad_fn):
+    """One ascent step on G from ``theta`` (G = ``g_here``, gradient
+    ``grad``): ``network.backtracking_step`` on -G from step length ``lr``,
+    scoring each trial by ``objective(theta) -> G``, then ``grad_fn`` at
+    the accepted point.  Returns ``(theta, G, grad, info)`` there, with the
+    accepted step length ``eps`` and whether the box cut the step, or None.
+    The benchmark tracer wraps ``sa.kw_step`` by name, so it keeps the name
+    of the Kiefer-Wolfowitz step it replaced until the benchmark changes.
     """
-    theta = np.asarray(theta_init, dtype=float).copy()
-    eval_seed = int(substream(seed, "crn").integers(2 ** 62))
-    best_theta = theta.copy()
-    best_g = -np.inf
-    g_hist: list[float] = []
-    prev_ma = None
-    for l in range(schedule.max_steps):
-        theta_next, info = kw_step(theta, schedule, m_bound, evaluator, l,
-                                   eval_seed)
-        if trace is not None:
-            trace.append({k: v for k, v in info.items() if k != "z"})
-        if info["G"] > best_g:
-            best_g = info["G"]
-            best_theta = theta.copy()
-        g_hist.append(info["G"])
-        moved = float(np.max(np.abs(theta_next - theta)))
-        theta = theta_next
-        if moved == 0.0 and info["grad_norm"] == 0.0:
+    def trial(cand):
+        g = objective(cand)
+        if not np.isfinite(g):
+            raise NonFiniteEvaluation("non-finite objective in kw_step")
+        return -g, None
+
+    step = backtracking_step(trial, theta, -g_here, -grad, lr, m_bound)
+    if step is None:
+        return None
+    eps, cand, loss, _ = step
+    info = {"eps": eps,
+            "projected": not np.array_equal(cand, theta + eps * grad)}
+    return cand, -loss, grad_fn(cand), info
+
+
+def train(theta_init, m_bound: float, max_steps: int, objective, grad_fn,
+          trace: list | None = None):
+    """Up to ``max_steps`` of ``kw_step`` from ``theta_init`` clipped into
+    the box; stops early only when the line search fails or the projected
+    gradient is zero.  G never falls, so the last iterate is the best
+    evaluated one, and it is returned.  ``trace`` gets a row per iterate,
+    the start first: G, gradient norm, and the ``eps`` and ``projected`` of
+    the step that reached it (0 and False at the start).
+    """
+    theta = np.clip(theta_init, -m_bound, m_bound)
+    g_here, grad = objective(theta), grad_fn(theta)
+    info = {"eps": 0.0, "projected": False}
+    trace = [] if trace is None else trace
+    lr = FIRST_STEP
+    for l in range(max_steps + 1):
+        trace.append({"l": l, "G": g_here, "eps": info["eps"],
+                      "grad_norm": float(np.linalg.norm(grad)),
+                      "projected": info["projected"]})
+        if l == max_steps:
             break
-        if len(g_hist) >= ma_window:
-            ma = float(np.mean(g_hist[-ma_window:]))
-            if prev_ma is not None and abs(ma - prev_ma) < schedule.trigger:
-                break
-            prev_ma = ma
-    # the last theta_next was never evaluated, so it cannot compete
-    return best_theta if best_g > -np.inf else theta
+        step = kw_step(theta, g_here, grad, lr, m_bound, objective, grad_fn)
+        if step is None:
+            break
+        theta, g_here, grad, info = step
+        lr = min(info["eps"] * 1.5, 1.0)
+    return theta

@@ -21,7 +21,7 @@ from mfgsolver.network import NetworkArchitecture, load_checkpoint, \
 from mfgsolver.problems import LqParams, lq_analytic_equilibrium, lq_problem, \
     mfg2d_problem, riccati_closed_form
 from mfgsolver.runner import RunConfig, evaluate_lq_policy, run_algorithm1
-from mfgsolver.sa import SaSchedule, train
+from mfgsolver.sa import train
 from mfgsolver.seeding import substream
 from mfgsolver.simulate import estimate_cost, simulate_chain, simulate_sde
 
@@ -128,30 +128,21 @@ def test_criterion_05_gradient_oracle():
 
 
 def test_criterion_06_kw_convergence_oracle():
-    tstar = np.array([0.3, -0.5, 1.0, 0.0, 2.0])
+    """Projected ascent on the exact gradient of a quadratic reaches its
+    optimum t*, and clip(t*) when t* lies outside the box."""
+    def run(tstar, m_bound):
+        out = train(np.zeros(5), m_bound, 5000,
+                    lambda theta: -float(np.sum((theta - tstar) ** 2)),
+                    lambda theta: -2.0 * (theta - tstar))
+        return float(np.max(np.abs(out - np.clip(tstar, -m_bound,
+                                                  m_bound))))
 
-    def noiseless(thetas, seed):
-        return -np.sum((thetas - tstar) ** 2, axis=1)
-
-    sch = SaSchedule(max_steps=5000, trigger=1e-12)
-    out = train(np.zeros(5), sch, 10.0, noiseless, seed=0)
-    err0 = float(np.max(np.abs(out - tstar)))
-    assert err0 <= 1e-2
-
-    wins = 0
-    for s in range(10):
-        noise_rng = substream(s, "kw-noise")
-
-        def noisy(thetas, seed, _r=noise_rng):
-            return (-np.sum((thetas - tstar) ** 2, axis=1)
-                    + 0.01 * _r.standard_normal(size=len(thetas)))
-
-        out = train(np.zeros(5), SaSchedule(max_steps=5000, trigger=1e-5),
-                    10.0, noisy, seed=s)
-        if np.max(np.abs(out - tstar)) <= 5e-2:
-            wins += 1
-    print(f"criterion 6: noiseless err {err0:.1e}, noisy wins {wins}/10")
-    assert wins >= 9
+    inside = run(np.array([0.3, -0.5, 1.0, 0.0, 2.0]), 10.0)
+    outside = run(np.array([0.3, -12.0, 1.0, 0.0, 15.0]), 10.0)
+    print(f"criterion 6: err {inside:.1e} inside the box, {outside:.1e} "
+          "with t* outside it")
+    assert inside <= 1e-2
+    assert outside <= 1e-2
 
 
 def test_criterion_07_lq_end_to_end(lq_run):

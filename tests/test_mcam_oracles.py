@@ -142,7 +142,7 @@ def setup(request):
     affordable and changes nothing in what is compared."""
     name, grid = request.param
     with open(os.path.join(CONFIG_DIR, name)) as fh:
-        problem, steps_c, lat_c, steps_f, lat_f, controls, arch, _ = \
+        problem, steps_c, lat_c, steps_f, lat_f, controls, arch = \
             RunConfig.from_ini(fh.read()).build()
     steps, lat = (steps_c, lat_c) if grid == "coarse" else \
         (StepSizes(steps_f.h1, steps_f.h2, 100), lat_f)
@@ -352,7 +352,7 @@ def coarse_setup(request):
     """(problem, steps, lattice, random mean path, architecture) of a
     shipped config on its coarse lattice, where SA evaluates."""
     with open(os.path.join(CONFIG_DIR, request.param)) as fh:
-        problem, steps, lat, _, _, _, arch, _ = \
+        problem, steps, lat, _, _, _, arch = \
             RunConfig.from_ini(fh.read()).build()
     rng = np.random.default_rng(lat.n_nodes)
     mbar_path = rng.uniform(problem.domain_lower, problem.domain_upper,

@@ -8,9 +8,10 @@ import mfgsolver.network as network
 from mfgsolver.errors import LengthMismatch
 from mfgsolver.lattice import StepSizes, build_lattice, dp_backward_sweep
 from mfgsolver.network import (NetworkArchitecture, _fit_dataset,
-                               _forward_cached, fit_loss, fit_to_grid,
-                               forward, grad_fit_loss_raw, load_checkpoint,
-                               random_theta, save_checkpoint, vjp, zero_theta)
+                               _forward_cached, backtracking_step, fit_loss,
+                               fit_to_grid, forward, grad_fit_loss_raw,
+                               load_checkpoint, random_theta, save_checkpoint,
+                               vjp, zero_theta)
 from mfgsolver.problems import LqParams, lq_problem
 from mfgsolver.runner import RunConfig, _initial_law
 from mfgsolver.seeding import substream
@@ -133,25 +134,26 @@ class TestGradient:
 
 def reference_fit(arch, theta0, control_field, lattice, steps, m_bound,
                   trigger, max_steps):
-    """The fit loop as first written: a ``fit_loss`` call per line-search
-    trial, a fresh ``grad_fit_loss_raw`` at each accepted theta and a
-    ``fit_loss`` of the clamped result.  Returns (theta, loss, trials,
-    whether the clamp moved theta)."""
+    """The projected fit loop written out: a ``fit_loss`` call per
+    line-search trial and a fresh ``grad_fit_loss_raw`` at each accepted
+    theta.  Returns (theta, loss, trials, whether the box cut an accepted
+    step)."""
     inputs, targets = _fit_dataset(arch, control_field, lattice, steps)
-    theta = np.asarray(theta0, dtype=float).copy()
+    theta = np.clip(theta0, -m_bound, m_bound)
     loss, g = grad_fit_loss_raw(arch, theta, inputs, targets)
-    lr, trials = 1e-2, 0
+    lr, trials, cut = 1e-2, 0, False
     for _ in range(max_steps):
-        gnorm2 = float(g @ g)
-        if gnorm2 == 0.0:
-            break
         accepted = False
         for _ in range(40):
-            cand = theta - lr * g
+            free = theta - lr * g
+            cand = np.clip(free, -m_bound, m_bound)
+            if np.array_equal(cand, theta):
+                break
             cand_loss = fit_loss(arch, cand, inputs, targets)
             trials += 1
-            if cand_loss <= loss - 1e-4 * lr * gnorm2:
+            if cand_loss <= loss + 1e-4 * float(g @ (cand - theta)):
                 accepted = True
+                cut |= not np.array_equal(cand, free)
                 break
             lr *= 0.5
         if not accepted:
@@ -162,9 +164,7 @@ def reference_fit(arch, theta0, control_field, lattice, steps, m_bound,
         lr = min(lr * 1.5, 1.0)
         if decrement < trigger:
             break
-    clipped = np.clip(theta, -m_bound, m_bound)
-    return (clipped, fit_loss(arch, clipped, inputs, targets), trials,
-            not np.array_equal(clipped, theta))
+    return theta, loss, trials, cut
 
 
 @pytest.fixture(scope="module", params=["lq.cfg", "mfg2d.cfg"],
@@ -175,7 +175,7 @@ def shipped_fit(request):
     settings), and the reference loop's result on them."""
     with open(os.path.join(CONFIG_DIR, request.param)) as fh:
         cfg = RunConfig.from_ini(fh.read())
-    problem, steps, lat, _, _, controls, arch, _ = cfg.build()
+    problem, steps, lat, _, _, controls, arch = cfg.build()
     _, law = _initial_law(problem, lat, steps, cfg.seed)
     _, field = dp_backward_sweep(problem, lat, steps, law @ lat.points,
                                  controls)
@@ -197,9 +197,9 @@ class TestShippedFit:
         assert loss == ref_loss
 
     def test_one_forward_pass_per_trial(self, shipped_fit, monkeypatch):
-        """(trials + 1) passes, plus 1 for the loss when the clamp moves
-        theta; the lq fit stays inside the box and the mfg2d fit leaves it."""
-        args, (_, _, trials, moved) = shipped_fit
+        """(trials + 1) passes; the lq fit's steps stay inside the box, and
+        the box cuts an accepted step of the mfg2d fit."""
+        args, (_, _, trials, cut) = shipped_fit
         calls = []
 
         def counting(*a):
@@ -208,8 +208,28 @@ class TestShippedFit:
 
         monkeypatch.setattr(network, "_forward_cached", counting)
         fit_to_grid(*args)
-        assert moved == (args[0].state_dim == 2)
-        assert len(calls) == trials + 1 + moved
+        assert cut == (args[0].state_dim == 2)
+        assert len(calls) == trials + 1
+
+    def test_every_iterate_stays_in_the_box(self, shipped_fit, monkeypatch):
+        """The unconstrained fit of the mfg2d field leaves the box; the fit
+        itself accepts only points inside it."""
+        args, _ = shipped_fit
+        arch, m_bound = args[0], args[5]
+        free, _ = fit_to_grid(*args[:5], np.inf, *args[6:])
+        assert (np.max(np.abs(free)) > m_bound) == (arch.state_dim == 2)
+        accepted = []
+
+        def recording(*a):
+            step = backtracking_step(*a)
+            if step is not None:
+                accepted.append(step[1])
+            return step
+
+        monkeypatch.setattr(network, "backtracking_step", recording)
+        theta, _ = fit_to_grid(*args)
+        assert accepted and np.array_equal(accepted[-1], theta)
+        assert max(np.max(np.abs(th)) for th in accepted) <= m_bound
 
 
 class TestFit:

@@ -318,11 +318,13 @@ class TestRunner:
         assert (tmp_path / "full" / "theta_final.csv").read_bytes() == \
             (tmp_path / "part" / "theta_final.csv").read_bytes()
 
-    @pytest.mark.parametrize("tag", [None, "mc"])
+    @pytest.mark.parametrize("tag", [None, "mc", "exact"])
     def test_resume_under_another_objective_exit_2(self, tmp_path, capsys,
                                                    tag):
         # a state without the tag was written when SA scored the Monte-Carlo
-        # estimate; continuing it would mix that best G with exact ones
+        # estimate, one tagged "exact" by Kiefer-Wolfowitz steps on the exact
+        # objective; resuming either would mix two optimisers in one run, so
+        # it could not resume to the bytes of an uninterrupted run
         cfg = tiny_lq_config(tmp_path / "out", max_iters=2,
                              stop_rule="value")
         run_algorithm1(cfg)
@@ -437,8 +439,6 @@ class TestCli:
     @pytest.mark.parametrize("name,section,key,value,named", [
         ("lq.cfg", "network", "hidden", "x", "network/hidden"),
         ("lq.cfg", "network", "hidden", "0", "hidden"),
-        ("lq.cfg", "sa", "p_eps", "2.0", "p_eps"),
-        ("lq.cfg", "sa", "eps0", "0", "eps0"),
         ("lq.cfg", "lattice", "h1_coarse", "-0.2", "h1_coarse"),
         ("lq.cfg", "lattice", "h2_coarse", "0.03", "h2_coarse"),
         ("lq.cfg", "lattice", "h1_fine", "0.07", "h1_fine"),
@@ -448,8 +448,13 @@ class TestCli:
         ("lq.cfg", "model", "sigmaa", "3.0", "model/sigmaa"),
         ("lq.cfg", "bogus", None, None, "[bogus]"),
         ("mfg2d.cfg", "model", "a", "3", "model/a"),
-        ("lq.cfg", "sa", "eps0", "nan", "eps0"),
         # keys removed from the schema: a config that still sets one
+        ("lq.cfg", "sa", "p_eps", "2.0", "p_eps"),
+        ("lq.cfg", "sa", "eps0", "0", "eps0"),
+        ("lq.cfg", "sa", "eps0", "nan", "eps0"),
+        ("lq.cfg", "sa", "delta0", "0.5", "sa/delta0"),
+        ("lq.cfg", "sa", "p_delta", "0.25", "sa/p_delta"),
+        ("lq.cfg", "sa", "trigger", "1e-5", "sa/trigger"),
         ("lq.cfg", "sa", "control_band", "inf", "sa/control_band"),
         ("lq.cfg", "iteration", "initial_measure", "uncontrolled",
          "iteration/initial_measure"),

@@ -1,150 +1,138 @@
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import mfgsolver.sa
 from mfgsolver.errors import NonFiniteEvaluation
 from mfgsolver.lattice import (StepSizes, build_lattice, chain_step,
                                stencil_probabilities)
 from mfgsolver.network import (NetworkArchitecture, forward, random_theta,
                                zero_theta)
-from mfgsolver.sa import SaSchedule, improvement, kw_step, train
+from mfgsolver.runner import RunConfig, _initial_law
+from mfgsolver.sa import gradient, improvement, kw_step, train
 from mfgsolver.seeding import substream
 
 
-class TestSchedule:
-    def test_defaults_valid(self):
-        s = SaSchedule()
-        assert s.eps(0) == pytest.approx(1.0)
-        assert s.eps(9) == pytest.approx(0.1)
-        assert s.delta(0) == pytest.approx(0.5)
-        assert s.delta(15) == pytest.approx(0.25)
-
-    def test_rejects_non_divergent_eps(self):
-        with pytest.raises(ValueError):
-            SaSchedule(p_eps=1.5)
-
-    def test_rejects_delta_dominating_eps(self):
-        with pytest.raises(ValueError):
-            SaSchedule(p_eps=0.5, p_delta=0.6)
-
-    def test_rejects_non_summable_ratio(self):
-        with pytest.raises(ValueError):
-            SaSchedule(p_eps=0.6, p_delta=0.3)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SaSchedule(eps0=0.0)
-
-
 def quadratic(tstar):
-    def ev(thetas, seed):
-        return -np.sum((thetas - tstar) ** 2, axis=1)
-    return ev
+    """G(theta) = -|theta - t*|^2 and its exact gradient."""
+    def objective(theta):
+        return -float(np.sum((theta - tstar) ** 2))
+
+    def grad_fn(theta):
+        return -2.0 * (theta - tstar)
+
+    return objective, grad_fn
+
+
+def step_on(tstar, theta, lr, m_bound=10.0):
+    objective, grad_fn = quadratic(tstar)
+    return kw_step(theta, objective(theta), grad_fn(theta), lr, m_bound,
+                   objective, grad_fn)
 
 
 class TestKwStep:
     def test_exact_gradient_on_quadratic(self):
-        # central differences are exact for quadratics: K = -2(theta-t*)
+        # the first trial is accepted: the step is theta + lr grad G
         tstar = np.array([1.0, -1.0, 0.5])
-        sch = SaSchedule()
-        theta = np.zeros(3)
-        nxt, info = kw_step(theta, sch, 10.0, quadratic(tstar), 0, 0)
-        np.testing.assert_allclose(nxt, 2.0 * tstar * sch.eps(0))
-        assert not info["projected"]
-        np.testing.assert_allclose(info["z"], 0.0)
+        nxt, g, grad, info = step_on(tstar, np.zeros(3), 0.25)
+        np.testing.assert_array_equal(nxt, 0.5 * tstar)
+        assert info == {"eps": 0.25, "projected": False}
+        assert g == quadratic(tstar)[0](nxt)
+        np.testing.assert_array_equal(grad, quadratic(tstar)[1](nxt))
 
     def test_projection_term_recorded(self):
-        tstar = np.array([50.0])
-        sch = SaSchedule()
-        nxt, info = kw_step(np.zeros(1), sch, 1.0, quadratic(tstar), 0, 0)
-        assert nxt[0] == pytest.approx(1.0)
+        nxt, _, _, info = step_on(np.array([50.0]), np.zeros(1), 1.0,
+                                  m_bound=1.0)
+        assert nxt[0] == 1.0
         assert info["projected"]
-        assert info["z"][0] < 0.0
 
     def test_box_clamp(self):
         # a step that leaves the box on both sides lands on its faces
-        nxt, _ = kw_step(np.zeros(2), SaSchedule(), 2.0,
-                         quadratic(np.array([50.0, -50.0])), 0, 0)
+        nxt, _, _, _ = step_on(np.array([50.0, -50.0]), np.zeros(2), 1.0,
+                               m_bound=2.0)
         np.testing.assert_array_equal(nxt, [2.0, -2.0])
 
     @pytest.mark.parametrize("case", ["unclipped", "box"])
     def test_projected_only_when_the_step_is_cut(self, case):
-        # (theta + s) - theta != s in floating point, so a test on
-        # z = (cand - theta - s) / eps calls an unclipped step projected
-        sch = SaSchedule()
         theta = np.array([0.7, -0.3, 0.45])
         tstar = np.array([1.0, -1.0, 0.5]) if case == "unclipped" \
             else np.array([50.0, -1.0, 0.5])
-        nxt, info = kw_step(theta, sch, 10.0, quadratic(tstar), 0, 0)
-        free = theta + sch.eps(0) * 2.0 * (tstar - theta)
+        nxt, _, _, info = step_on(tstar, theta, 0.25)
+        free = theta + 0.25 * 2.0 * (tstar - theta)
         assert info["projected"] == (case != "unclipped")
         assert np.allclose(nxt, free) == (case == "unclipped")
         assert np.all(np.abs(nxt) <= 10.0)
 
+    def test_backtracks_from_an_overshoot(self):
+        # lr = 1 overshoots the optimum of G: each trial is one objective
+        # call, and lr halves until a trial passes the sufficient-increase
+        # test
+        tstar = np.array([1.0, -1.0])
+        objective, grad_fn = quadratic(tstar)
+        calls, grads = [], []
+
+        def counted(theta):
+            calls.append(theta.copy())
+            return objective(theta)
+
+        def counted_grad(theta):
+            grads.append(theta.copy())
+            return grad_fn(theta)
+
+        nxt, g, _, info = kw_step(np.zeros(2), objective(np.zeros(2)),
+                                  grad_fn(np.zeros(2)), 1.0, 10.0, counted,
+                                  counted_grad)
+        assert info["eps"] == 0.5
+        np.testing.assert_array_equal(nxt, tstar)
+        assert len(calls) == 2 and g == 0.0
+        # one gradient, at the accepted point
+        assert len(grads) == 1 and np.array_equal(grads[0], tstar)
+
     def test_nonfinite_raises(self):
-        def bad(thetas, seed):
-            return np.full(len(thetas), np.nan)
+        def bad(theta):
+            return np.nan
         with pytest.raises(NonFiniteEvaluation):
-            kw_step(np.zeros(2), SaSchedule(), 10.0, bad, 0, 0)
-
-    def test_crn_pairing_reduces_variance(self):
-        # noisy quadratic: paired seeds cancel the noise in the difference,
-        # independent draws do not
-        tstar = np.array([0.5, -0.5])
-
-        def noisy(thetas, seed):
-            rng = substream(seed, "eval")
-            return (-np.sum((thetas - tstar) ** 2, axis=1)
-                    + 0.1 * float(rng.standard_normal()))
-
-        def noisy_indep(thetas, seed):
-            noise = [substream(seed, "eval", hash(th.tobytes()) & 0xFFFF)
-                     .standard_normal() for th in thetas]
-            return -np.sum((thetas - tstar) ** 2, axis=1) + 0.1 * np.array(noise)
-
-        sch = SaSchedule()
-        grads_p, grads_i = [], []
-        for s in range(40):
-            _, ip = kw_step(np.zeros(2), sch, 10.0, noisy, 0, s)
-            _, ii = kw_step(np.zeros(2), sch, 10.0, noisy_indep, 0, s)
-            grads_p.append(ip["grad_norm"])
-            grads_i.append(ii["grad_norm"])
-        assert np.var(grads_p) < 0.25 * np.var(grads_i)
+            kw_step(np.zeros(2), 0.0, np.ones(2), 0.1, 10.0, bad,
+                    lambda theta: np.ones(2))
 
 
 class TestTrain:
     def test_converges_on_noiseless_quadratic(self):
         tstar = np.array([0.3, -0.5, 1.0, 0.0, 2.0])
-        sch = SaSchedule(max_steps=5000, trigger=1e-12)
-        out = train(np.zeros(5), sch, 10.0, quadratic(tstar), seed=0)
+        out = train(np.zeros(5), 10.0, 5000, *quadratic(tstar))
         assert np.max(np.abs(out - tstar)) <= 1e-2
 
     def test_flat_objective_returns_start(self):
-        def flat(thetas, seed):
-            return np.ones(len(thetas))
         theta0 = np.array([0.7, -0.2])
-        out = train(theta0, SaSchedule(max_steps=100), 10.0, flat, seed=0)
+        trace = []
+        out = train(theta0, 10.0, 100, lambda theta: 1.0,
+                    lambda theta: np.zeros(2), trace=trace)
         np.testing.assert_array_equal(out, theta0)
+        assert [row["l"] for row in trace] == [0]
 
-    def test_last_candidate_is_not_returned(self):
-        # each step evaluates G at its start only, so with a one-step budget
-        # the better candidate it moves to is never evaluated or returned
+    def test_last_iterate_is_evaluated_and_returned(self):
+        # with a one-step budget the accepted candidate is returned, and the
+        # last trace row holds its G
         tstar = np.array([1.0, -1.0, 0.5])
         theta0 = np.array([0.2, 0.1, -0.3])
-        sch = SaSchedule(eps0=0.25, max_steps=1)  # halfway to the optimum
-        cand, _ = kw_step(theta0, sch, 10.0, quadratic(tstar), 0, 0)
-        g = quadratic(tstar)(np.stack([theta0, cand]), 0)
-        assert g[1] > g[0]
-        out = train(theta0, sch, 10.0, quadratic(tstar), seed=0)
-        assert np.array_equal(out, theta0)
+        objective, grad_fn = quadratic(tstar)
+        trace = []
+        out = train(theta0, 10.0, 1, objective, grad_fn, trace=trace)
+        assert objective(out) > objective(theta0)
+        assert [row["l"] for row in trace] == [0, 1]
+        assert trace[0]["G"] == objective(theta0)
+        assert trace[-1]["G"] == objective(out)
 
     def test_trace_recorded(self):
         trace = []
-        train(np.zeros(2), SaSchedule(max_steps=30), 10.0,
-              quadratic(np.array([0.1, 0.2])), seed=0, trace=trace)
+        train(np.zeros(2), 10.0, 30, *quadratic(np.array([0.1, 0.2])),
+              trace=trace)
         assert trace and trace[0]["l"] == 0
-        assert {"G", "eps", "delta", "grad_norm"} <= set(trace[0])
+        assert all(set(row) == {"l", "G", "eps", "grad_norm", "projected"}
+                   for row in trace)
+        assert all(b["G"] >= a["G"] for a, b in zip(trace, trace[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +256,7 @@ class TestExactEvaluator:
 
 class TestBatchedOracle:
     # the batched Monte-Carlo reference, with rows on shared uniforms, is the
-    # per-chain loop, and kw_step reads its stack in the documented order
+    # per-chain loop, and a step on the exact objective follows its gradient
     @pytest.mark.parametrize("n_rows", [1, 5])
     def test_batched_equals_per_row_loop(self, oracle_setup, n_rows):
         problem, steps, lat, m, arch = oracle_setup
@@ -285,46 +273,86 @@ class TestBatchedOracle:
         assert np.array_equal(batched, reference)
 
     def test_kw_step_on_chain_objective(self, oracle_setup):
-        # G and every central difference of one step match the reference
+        # a step on the exact objective follows its exact gradient, and the
+        # G it returns is that of the point it returns
         problem, steps, lat, m, arch = oracle_setup
         theta = random_theta(arch, substream(3, "oracle-kw"), scale=3.0)
-        sch = SaSchedule()
 
-        def evaluator(thetas, seed):
-            return mc_improvement(problem, lat, steps, m, arch, thetas, 2,
-                                  seed)
+        def objective(th):
+            return float(improvement(problem, lat, steps, m, arch,
+                                     th[None])[0])
 
-        _, info = kw_step(theta, sch, 10.0, evaluator, 0, 17)
-        delta = sch.delta(0)
-        assert info["G"] == sequential_improvement(problem, lat, steps, m,
-                                                   arch, theta, 2, 17)
-        grad = []
-        for j in range(theta.shape[0]):
-            e = np.zeros_like(theta)
-            e[j] = delta
-            g_plus, g_minus = (sequential_improvement(
-                problem, lat, steps, m, arch, th, 2, 17)
-                for th in (theta + e, theta - e))
-            grad.append((g_plus - g_minus) / (2.0 * delta))
-        assert info["grad_norm"] == float(np.linalg.norm(grad))
+        def grad_fn(th):
+            return gradient(problem, lat, steps, m, arch, th)
 
-    def test_kw_step_makes_one_call_with_the_stack(self):
-        theta = np.array([0.5, -1.0, 2.0])
-        sch = SaSchedule()
-        calls = []
+        g0, grad = objective(theta), grad_fn(theta)
+        nxt, g1, grad1, info = kw_step(theta, g0, grad, 1e-2, 10.0,
+                                       objective, grad_fn)
+        np.testing.assert_array_equal(
+            nxt, np.clip(theta + info["eps"] * grad, -10.0, 10.0))
+        assert g1 == objective(nxt) and g1 >= g0
+        np.testing.assert_array_equal(grad1, grad_fn(nxt))
 
-        def recording(thetas, seed):
-            calls.append((thetas.copy(), seed))
-            return -np.sum(thetas ** 2, axis=1)
 
-        kw_step(theta, sch, 10.0, recording, 2, 41)
-        assert len(calls) == 1
-        stack, seed = calls[0]
-        d = sch.delta(2)
-        expected = [theta]
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = d
-            expected += [theta + e, theta - e]
-        assert seed == 41
-        assert np.array_equal(stack, np.array(expected))
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.fixture(scope="module", params=["lq.cfg", "mfg2d.cfg"],
+                ids=lambda name: name[:-4])
+def shipped_coarse(request):
+    """A shipped config's problem, coarse grid and architecture, under the
+    mean path of its initial law."""
+    with open(os.path.join(CONFIG_DIR, request.param)) as fh:
+        cfg = RunConfig.from_ini(fh.read())
+    problem, steps, lat, _, _, _, arch = cfg.build()
+    _, law = _initial_law(problem, lat, steps, cfg.seed)
+    return problem, steps, lat, law @ lat.points, arch
+
+
+def gradient_error(problem, steps, lat, m, arch, delta=1e-6):
+    """Worst max-norm relative error of ``gradient`` against central
+    differences of ``improvement``, over five random parameter vectors."""
+    rng = substream(19, "gradient-oracle")
+    worst = 0.0
+    for _ in range(5):
+        theta = random_theta(arch, rng, scale=1.0)
+        kicks = delta * np.eye(len(theta))
+        fd = (improvement(problem, lat, steps, m, arch, theta + kicks)
+              - improvement(problem, lat, steps, m, arch, theta - kicks)) \
+            / (2.0 * delta)
+        g = gradient(problem, lat, steps, m, arch, theta)
+        worst = max(worst, np.max(np.abs(g - fd)) / np.max(np.abs(fd)))
+    return worst
+
+
+class TestGradient:
+    def test_matches_central_differences(self, shipped_coarse):
+        assert gradient_error(*shipped_coarse) <= 1e-6
+
+    def test_train_ascends_to_the_point_it_returns(self, shipped_coarse):
+        # along a phase's rows G never falls, and the last row's G is the
+        # objective of the returned theta
+        problem, steps, lat, m, arch = shipped_coarse
+
+        def objective(th):
+            return float(improvement(problem, lat, steps, m, arch,
+                                     th[None])[0])
+
+        trace = []
+        theta0 = random_theta(arch, substream(23, "train-ascent"), scale=1.0)
+        out = train(theta0, 10.0, 10, objective,
+                    lambda th: gradient(problem, lat, steps, m, arch, th),
+                    trace=trace)
+        g = [row["G"] for row in trace]
+        assert len(g) > 1 and g[-1] > g[0]
+        assert all(b >= a for a, b in zip(g, g[1:]))
+        assert g[-1] == objective(out)
+
+    def test_uniform_visit_weights_fail(self, shipped_coarse, monkeypatch):
+        # mutation: weighting every step by the uniform start law instead of
+        # the law the chain visits must fail the oracle above
+        def uniform(problem, lattice, steps, controls, mbar_path, w0):
+            return np.broadcast_to(w0, (steps.n_time + 1, len(w0)))
+
+        monkeypatch.setattr(mfgsolver.sa, "induced_measure", uniform)
+        assert gradient_error(*shipped_coarse) > 1e-3

@@ -34,3 +34,26 @@ def test_install_then_uninstall_restores_every_attribute(monkeypatch):
         t.uninstall()
     for (module, attr), fn in zip(targets, before):
         assert getattr(module, attr) is fn, attr
+
+
+def test_traced_solve_records_the_sa_and_fit_layers(monkeypatch, tmp_path):
+    """Every SA phase writes a trace row, and a step goes through the hooks
+    the benchmark reads: ``train``, ``kw_step``, the runner's
+    ``improvement`` and the fit."""
+    tracer = load_tracer(monkeypatch)
+    cfg = mfgsolver.runner.RunConfig(
+        h1_coarse=0.5, h2_coarse=0.05, h1_fine=0.5, h2_fine=0.05,
+        control_points=5, hidden=(4,), fit_max_steps=150, sa_max_steps=2,
+        max_iters=2, seed=42, out_dir=str(tmp_path))
+    t = tracer.Tracer(cfg.h1_coarse)
+    t.install()
+    try:
+        mfgsolver.runner.run_algorithm1(cfg)
+    finally:
+        t.uninstall()
+    summary = t.summary()
+    for name in ("sa.train", "sa.kw_step", "sa.improvement",
+                 "network.fit_to_grid"):
+        assert summary.get(name, {}).get("calls", 0) >= 1, name
+    projected_frac, gain = tracer._sa_trace_stats(str(tmp_path))
+    assert 0.0 <= projected_frac <= 1.0 and gain >= 0.0
