@@ -3,7 +3,8 @@
 ``mfgsolver validate`` and the acceptance suite run the same checks, each
 caller with its own sample sizes and seeds: the Riccati closed form against
 its ODE, stochasticity and local consistency of interior transition rows,
-the network gradient against central differences, and the W2 metric axioms.
+the network gradient against central differences, the W2 metric axioms,
+and the bounds of the fixed-point gap on node laws.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .lattice import Lattice, StepSizes, stencil_probabilities
-from .measures import wasserstein2
+from .measures import fixed_point_gap, wasserstein2
 from .network import fit_loss, grad_fit_loss_raw
 from .problems import riccati_closed_form, riccati_ode_solve
 
@@ -139,3 +140,27 @@ def wasserstein_axioms(rng, n_triples: int) -> Check:
         worst = max(worst, asym, self_d, dac - dab - dbc)
         passed &= asym <= 1e-12 and self_d <= 1e-12 and dac <= dab + dbc + 1e-9
     return Check("wasserstein metric axioms", passed, worst)
+
+
+def gap_bounds(rng, n_pairs: int) -> Check:
+    """The fixed-point gap on ``n_pairs`` pairs of one-row laws, each of 8
+    equal atoms on random nodes, first on the 5 nodes of [0, 1], then on
+    the 25 of [0, 1]^2: symmetric, and zero from a law to itself, within
+    1e-12.  In 1-D it equals the squared ``wasserstein2`` of the two atom
+    clouds within 1e-12; in 2-D it is at least the squared shift of the
+    means, less 1e-12.  Worst: the largest asymmetry, self-distance, 1-D
+    mismatch or shortfall below the mean shift."""
+    worst = 0.0
+    for d in (1, 2):
+        points = Lattice(np.zeros(d), np.ones(d), 0.25).points
+        for _ in range(n_pairs):
+            atoms_a, atoms_b = rng.integers(len(points), size=(2, 8))
+            a, b = (np.bincount(atoms, minlength=len(points))[None] / 8
+                    for atoms in (atoms_a, atoms_b))
+            gap = fixed_point_gap(a, b, points)
+            bound = wasserstein2(points[atoms_a], points[atoms_b]) ** 2 \
+                if d == 1 else np.sum(((a - b) @ points) ** 2)
+            worst = max(worst, abs(gap - fixed_point_gap(b, a, points)),
+                        fixed_point_gap(a, a, points),
+                        abs(gap - bound) if d == 1 else bound - gap)
+    return Check("fixed-point gap bounds", worst <= 1e-12, float(worst))

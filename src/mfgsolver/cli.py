@@ -3,7 +3,8 @@
 Subcommands: ``solve`` runs the full fixed-point loop from a config file;
 ``riccati`` tabulates the closed-form Riccati solution and its ODE
 cross-check; ``validate`` runs the structural checks of ``checks`` (Riccati
-closed form, transition rows, network gradient, W2 axioms); ``simulate``
+closed form, transition rows, network gradient, W2 axioms, the bounds of
+the fixed-point gap); ``simulate``
 rolls out a saved policy checkpoint under the law of the run that saved it.
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
@@ -91,7 +92,7 @@ def _cmd_validate(args) -> int:
     results += [checks.network_gradient(
         arch, random_theta(arch, rng), rng.uniform(-1, 1, (5, 3)),
         rng.uniform(0, 1, (5, 1)), rng.choice(arch.n_params, 5, False)),
-        checks.wasserstein_axioms(rng, 20)]
+        checks.wasserstein_axioms(rng, 20), checks.gap_bounds(rng, 20)]
     failed = [r for r in results if not r.passed]
     for r in failed:
         print(f"FAIL: {r.name} (worst {r.worst:.3e})", file=sys.stderr)

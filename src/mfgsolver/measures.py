@@ -9,12 +9,19 @@ induced law, exactly, mixes it into the running average with 1/k weights,
 and stops once the squared Wasserstein-2 gap drops below
 (2q/(1-q)) * h1^2.
 
-The gap compares two laws through equal-atom representations: systematic
-resampling with a midpoint comb turns each row into a fixed number of equal
-atoms on the nodes, deterministically.
+The gap compares two law paths time row by time row on the node weights
+themselves.  In 1-D it is the exact squared W2, from the quantile coupling of
+the two node CDFs.  On a d >= 2 tensor grid it is the Knothe-Rosenblatt cost:
+the x1 marginals are coupled by quantiles, then, for each coupled pair of x1
+values, the conditional laws of the remaining axes, recursively.  That
+coupling is a transport plan, so the cost is an upper bound on the squared
+W2 (Santambrogio, *Optimal Transport for Applied Mathematicians*, 2015,
+section 2.3), and a gap below the threshold certifies W2 below it.  No solve
+imports scipy.
 
-Only the W2 of clouds in d >= 2 needs ``scipy.optimize`` (for the assignment
-problem), so it is imported on the first such call and never by a 1-D run.
+Only ``wasserstein2`` of clouds in d >= 2 needs ``scipy.optimize`` (for the
+assignment problem), so it is imported on the first such call; ``validate``
+and the acceptance checks are its only callers.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ def systematic_resample(weights: np.ndarray, n: int) -> np.ndarray:
 
     ``weights`` are the nonnegative atom weights, summing to 1.  The comb
     sits at the midpoints (i + 1/2)/n, which makes the operation
-    deterministic; an atom of zero weight is never drawn.
+    deterministic; an atom of zero weight is never drawn.  No solve calls
+    it; the runner keeps a reference for the benchmark tracer.
     """
     cum = np.cumsum(weights)
     cum[-1] = 1.0
@@ -80,16 +88,70 @@ def wasserstein2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(cost[rows, cols].mean()))
 
 
-def fixed_point_gap(w_a: np.ndarray, w_b: np.ndarray, points: np.ndarray,
-                    n_atoms: int = 256) -> float:
-    """Max over time of the squared W2 distance between two law paths on
-    the nodes ``points`` (n_nodes, d), each row combed into ``n_atoms``
-    equal atoms by ``systematic_resample``."""
+def _quantile_coupling(a: np.ndarray, b: np.ndarray):
+    """Monotone coupling of each row pair of ``a`` and ``b`` (B, n), laws on
+    the same n sorted points: ``(i, j, mass)``, each (B, 2n), the pieces
+    between the merged breakpoints of the two CDFs.  Piece k carries
+    ``mass[:, k]`` from point ``i[:, k]`` of ``a`` to point ``j[:, k]`` of
+    ``b``; a piece of zero mass may carry any index in range."""
+    n = a.shape[1]
+    cdfs = np.minimum(np.cumsum(np.stack([a, b]), axis=2), 1.0)
+    cdfs[..., -1] = 1.0
+    both = np.concatenate(cdfs, axis=1)
+    order = np.argsort(both, axis=1, kind="stable")
+    mass = np.diff(np.take_along_axis(both, order, axis=1), axis=1,
+                   prepend=0.0)
+    # a piece of positive mass draws from the first point of each law whose
+    # CDF has not been passed: the count of that law's breakpoints before it
+    from_a = order < n
+    i = np.minimum(np.cumsum(from_a, axis=1) - from_a, n - 1)
+    j = np.minimum(np.cumsum(~from_a, axis=1) - ~from_a, n - 1)
+    return i, j, mass
+
+
+def _knothe_rosenblatt_cost(a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
+    """Cost of the Knothe-Rosenblatt coupling of each row pair of ``a`` and
+    ``b``, laws of shape (B, n_1, ..., n_d) on the grid of the sorted
+    ``axes``: the exact squared W2 when d = 1, an upper bound on it else."""
+    x = axes[0]
+    if len(axes) == 1:
+        i, j, mass = _quantile_coupling(a, b)
+        return np.sum(mass * (x[i] - x[j]) ** 2, axis=1)
+    rest = tuple(range(2, a.ndim))
+    pa, pb = a.sum(axis=rest), b.sum(axis=rest)
+    i, j, mass = _quantile_coupling(pa, pb)
+    rows = np.arange(len(a))[:, None]
+
+    def conditional(w, p, idx):
+        # the laws of the other axes given x1 at each piece, (B * 2n, ...)
+        w, p = w[rows, idx], p[rows, idx].reshape(idx.shape + (1,) * len(rest))
+        return np.divide(w, p, out=np.zeros_like(w), where=p > 0).reshape(
+            (-1,) + w.shape[2:])
+
+    inner = _knothe_rosenblatt_cost(conditional(a, pa, i),
+                                    conditional(b, pb, j), axes[1:])
+    return np.sum(mass * ((x[i] - x[j]) ** 2 + inner.reshape(mass.shape)),
+                  axis=1)
+
+
+def fixed_point_gap(w_a: np.ndarray, w_b: np.ndarray,
+                    points: np.ndarray) -> float:
+    """Max over time of the squared W2 gap between two law paths (n_time + 1,
+    n_nodes) on the nodes ``points`` (n_nodes, d), a tensor grid in
+    ``indexing="ij"`` order as ``Lattice.points`` is: exact in 1-D, the
+    Knothe-Rosenblatt upper bound in d >= 2.  Other nodes raise
+    ``ValueError``."""
     if len(w_a) != len(w_b):
         raise LengthMismatch("measure paths differ in length")
-    return max(wasserstein2(points[systematic_resample(x, n_atoms)],
-                            points[systematic_resample(y, n_atoms)]) ** 2
-               for x, y in zip(w_a, w_b))
+    # the distinct coordinates per axis (np.unique would load numpy.ma)
+    axes = [x[np.diff(x, prepend=-np.inf) > 0]
+            for x in np.sort(points.T, axis=1)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    if not np.array_equal(mesh.reshape(-1, len(axes)), points):
+        raise ValueError("the nodes are not a tensor grid in ij order")
+    shape = (len(w_a),) + mesh.shape[:-1]
+    return float(np.max(_knothe_rosenblatt_cost(
+        w_a.reshape(shape), w_b.reshape(shape), axes)))
 
 
 def w2_stop_threshold(q: float, h1: float) -> float:

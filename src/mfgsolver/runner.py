@@ -42,7 +42,8 @@ from .lattice import (StepSizes, build_lattice, control_grid,
                       control_field_to_csv)
 from .measures import (average_update, fixed_point_gap, induced_measure,
                        measure_path_to_csv, w2_stop_threshold)
-# not called here: perfbench/tracer.py wraps ``runner.systematic_resample``
+# not called here: kept only because perfbench/tracer.py wraps
+# ``runner.systematic_resample`` by name, until ROADMAP item 7 drops the hook
 from .measures import systematic_resample  # noqa: F401
 from .network import (NetworkArchitecture, feedback, fit_to_grid, forward,
                       random_theta, save_checkpoint)
@@ -192,9 +193,8 @@ class RunConfig:
         lat_f, controls, arch)``.
 
         A value one of them rejects raises ``ConfigError`` naming its keys.
-        A state of dimension >= 2 also loads ``scipy.optimize``, which its W2
-        gap needs, so the import is paid here rather than inside a timed
-        fixed-point iteration, and a broken scipy fails before any solve.
+        Nothing here or in a solve imports scipy: the W2 gap works on the
+        node weights directly, in any dimension.
         """
         where = "bad model parameters"
         try:
@@ -209,8 +209,6 @@ class RunConfig:
             arch = NetworkArchitecture.for_problem(problem, hidden=self.hidden)
         except (ValueError, SolverError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        if problem.dim > 1:  # the assignment of measures.wasserstein2
-            import scipy.optimize  # noqa: F401
         return (problem, *grids, control_grid(problem, self.control_points),
                 arch)
 

@@ -107,6 +107,12 @@ def test_criterion_04_wasserstein_oracle():
     print("criterion 4: 200 assignment instances exact, 100 triples metric")
 
 
+def test_fixed_point_gap_bounds():
+    # the gap that stops the loop: exact in 1-D, above the mean shift in 2-D
+    check = checks.gap_bounds(substream(0, "acceptance-gap"), 100)
+    assert check.passed, check
+
+
 def test_criterion_05_gradient_oracle():
     rng = substream(0, "acceptance5")
     worst = 0.0

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from mfgsolver.errors import LengthMismatch
 from mfgsolver.lattice import Lattice, StepSizes, build_lattice, \
@@ -34,15 +34,8 @@ def snapped_law(lattice, rng, n_draws):
 
 # ---------------------------------------------------------------------------
 # Weighted-cloud reference: each slice a (particles, weights) pair, mixed by
-# concatenation and resampled slice by slice
+# concatenation
 # ---------------------------------------------------------------------------
-
-def reference_resample(particles, weights, n):
-    cum = np.cumsum(weights)
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, (0.5 + np.arange(n)) / n, side="left")
-    return particles[idx], uniform(n)
-
 
 def reference_average(old_path, new_path, k):
     if k == 1:
@@ -208,20 +201,144 @@ class TestWasserstein:
         b = np.eye(3)[[0, 2, 1]]
         assert fixed_point_gap(a, b, points) == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("d,n_a,n_b", [(1, 300, 300), (1, 40, 40),
-                                           (1, 40, 30), (2, 300, 300),
-                                           (2, 40, 40)])
-    def test_gap_equals_per_slice_reference(self, d, n_a, n_b):
-        """Laws of n_a and n_b snapped draws, each row combed into 256 equal
-        atoms: the gap is the largest squared W2 of the reference."""
-        rng = np.random.default_rng(d * 1000 + n_a + n_b)
-        lat = Lattice(np.zeros(d), np.ones(d), 0.2)
-        a = np.stack([snapped_law(lat, rng, n_a) for _ in range(3)])
-        b = np.stack([snapped_law(lat, rng, n_b) for _ in range(3)])
-        ref = max(reference_w2(reference_resample(lat.points, x, 256)[0],
-                               reference_resample(lat.points, y, 256)[0]) ** 2
-                  for x, y in zip(a, b))
-        assert fixed_point_gap(a, b, lat.points) == ref
+
+# ---------------------------------------------------------------------------
+# The fixed-point gap on node laws against the exact transport LP and a
+# north-west-corner reference of the Knothe-Rosenblatt coupling
+# ---------------------------------------------------------------------------
+
+def transport_lp(a, b, points):
+    """Exact squared W2 between two laws on ``points``: the transport LP."""
+    n = len(points)
+    cost = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    marginals = np.vstack([np.kron(np.eye(n), np.ones(n)),
+                           np.kron(np.ones(n), np.eye(n))])
+    res = linprog(cost.ravel(), A_eq=marginals, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def reference_monotone_coupling(a, b):
+    """North-west corner rule on two laws over the same sorted points:
+    (i, j, mass) pieces."""
+    pieces, i, j, ra, rb = [], 0, 0, a[0], b[0]
+    while i < len(a) and j < len(b):
+        m = min(ra, rb)
+        pieces.append((i, j, m))
+        ra, rb = ra - m, rb - m
+        if ra <= rb:
+            i += 1
+            ra = a[i] if i < len(a) else 0.0
+        else:
+            j += 1
+            rb = b[j] if j < len(b) else 0.0
+    return pieces
+
+
+def reference_kr_2d(a, b, lattice):
+    """Knothe-Rosenblatt cost of one pair of laws on a 2-D lattice, piece
+    by piece: x1 marginals by quantiles, then each pair of x2 conditionals."""
+    x1, x2 = (lattice.lower[i] + lattice.spacing * np.arange(n)
+              for i, n in enumerate(lattice.shape))
+    wa, wb = a.reshape(lattice.shape), b.reshape(lattice.shape)
+    cost = 0.0
+    for i, j, m in reference_monotone_coupling(wa.sum(1), wb.sum(1)):
+        if m > 0:
+            inner = sum(mm * (x2[k] - x2[l]) ** 2 for k, l, mm in
+                        reference_monotone_coupling(wa[i] / wa[i].sum(),
+                                                    wb[j] / wb[j].sum()))
+            cost += m * ((x1[i] - x1[j]) ** 2 + inner)
+    return cost
+
+
+def sparse_law(rng, n):
+    """A random law on n nodes, about a third of them empty."""
+    w = rng.dirichlet(np.full(n, 0.5)) * (rng.random(n) > 0.3)
+    w[rng.integers(n)] += 0.1
+    return w / w.sum()
+
+
+def cube(d, spacing):
+    return Lattice(np.zeros(d), np.ones(d), spacing)
+
+
+class TestFixedPointGap:
+    def test_equals_transport_lp_in_1d(self):
+        rng = np.random.default_rng(21)
+        lat = cube(1, 0.125)
+        for _ in range(20):
+            a, b = sparse_law(rng, 9), sparse_law(rng, 9)
+            assert fixed_point_gap(a[None], b[None], lat.points) == \
+                pytest.approx(transport_lp(a, b, lat.points), abs=1e-12)
+
+    @pytest.mark.parametrize("d,spacing", [(2, 0.25), (3, 0.5)])
+    def test_brackets_transport_lp(self, d, spacing):
+        """Squared mean shift <= exact W2^2 <= the Knothe-Rosenblatt cost,
+        and the bound is not always tight."""
+        rng = np.random.default_rng(22 + d)
+        lat = cube(d, spacing)
+        slack = []
+        for _ in range(10):
+            a, b = sparse_law(rng, lat.n_nodes), sparse_law(rng, lat.n_nodes)
+            exact = transport_lp(a, b, lat.points)
+            gap = fixed_point_gap(a[None], b[None], lat.points)
+            assert np.sum(((a - b) @ lat.points) ** 2) <= exact + 1e-12
+            assert exact <= gap + 1e-12
+            slack.append(gap - exact)
+        assert max(slack) > 1e-3
+
+    def test_equals_reference_coupling_in_2d(self):
+        rng = np.random.default_rng(23)
+        lat = cube(2, 0.2)
+        a = np.stack([sparse_law(rng, lat.n_nodes) for _ in range(6)])
+        b = np.stack([sparse_law(rng, lat.n_nodes) for _ in range(6)])
+        ref = [reference_kr_2d(x, y, lat) for x, y in zip(a, b)]
+        for row, r in enumerate(ref):
+            assert fixed_point_gap(a[row:row + 1], b[row:row + 1],
+                                   lat.points) == pytest.approx(r, abs=1e-14)
+        # a path's gap is the largest of its rows'
+        assert fixed_point_gap(a, b, lat.points) == \
+            pytest.approx(max(ref), abs=1e-14)
+
+    @pytest.mark.parametrize("d,spacing", [(1, 0.1), (2, 0.2), (3, 0.5)])
+    def test_symmetric_and_zero_on_itself(self, d, spacing):
+        rng = np.random.default_rng(24 + d)
+        lat = cube(d, spacing)
+        a = np.stack([sparse_law(rng, lat.n_nodes) for _ in range(4)])
+        b = np.stack([sparse_law(rng, lat.n_nodes) for _ in range(4)])
+        assert fixed_point_gap(a, b, lat.points) == \
+            fixed_point_gap(b, a, lat.points) > 0.0
+        assert fixed_point_gap(a, a, lat.points) == 0.0
+
+    @pytest.mark.parametrize("d,spacing", [(2, 0.2), (3, 0.5)])
+    def test_exact_against_a_dirac(self, d, spacing):
+        """Against a point mass every coupling is the product, so the
+        Knothe-Rosenblatt cost is the exact W2^2."""
+        rng = np.random.default_rng(25 + d)
+        lat = cube(d, spacing)
+        for node in rng.choice(lat.n_nodes, 5, replace=False):
+            a = sparse_law(rng, lat.n_nodes)[None]
+            dirac = np.eye(lat.n_nodes)[node][None]
+            exact = a[0] @ np.sum((lat.points - lat.points[node]) ** 2,
+                                  axis=1)
+            assert fixed_point_gap(a, dirac, lat.points) == \
+                pytest.approx(exact, abs=1e-12)
+            assert fixed_point_gap(dirac, a, lat.points) == \
+                pytest.approx(exact, abs=1e-12)
+
+    def test_nodes_must_form_an_ij_grid(self):
+        rng = np.random.default_rng(26)
+        lat = cube(2, 0.25)
+        a = np.stack([sparse_law(rng, lat.n_nodes) for _ in range(3)])
+        b = np.stack([sparse_law(rng, lat.n_nodes) for _ in range(3)])
+        perm = rng.permutation(lat.n_nodes)
+        for nodes in (slice(1, None), perm, np.argsort(lat.points[:, 1],
+                                                        kind="stable")):
+            with pytest.raises(ValueError):
+                fixed_point_gap(a[:, nodes], b[:, nodes], lat.points[nodes])
+        with pytest.raises(LengthMismatch):
+            fixed_point_gap(a, b[:2], lat.points)
 
 
 @pytest.fixture(scope="module")

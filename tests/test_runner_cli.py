@@ -17,7 +17,7 @@ from mfgsolver import checks
 from mfgsolver.cli import main
 from mfgsolver.errors import ConfigError
 from mfgsolver.lattice import StepSizes
-from mfgsolver.measures import wasserstein2
+from mfgsolver.measures import fixed_point_gap, wasserstein2
 from mfgsolver.network import forward, grad_fit_loss_raw, load_checkpoint
 from mfgsolver.problems import riccati_ode_solve
 from mfgsolver.runner import CONFIG_SCHEMA, RunConfig, run_algorithm1
@@ -389,6 +389,16 @@ def _asymmetric_w2(a, b):
     return wasserstein2(a, b) + 1e-9 * b[0, 0]
 
 
+def _first_axis_gap(w_a, w_b, points):
+    # couples the x1 marginals only: exact in 1-D, blind to x2 in 2-D
+    axis, node_x1 = np.unique(points[:, 0], return_inverse=True)
+
+    def marginal(law):
+        return np.stack([np.bincount(node_x1, row, len(axis)) for row in law])
+
+    return fixed_point_gap(marginal(w_a), marginal(w_b), axis[:, None])
+
+
 class TestCli:
     def test_riccati_terminal_row(self, capsys):
         assert main(["riccati", "--n", "100"]) == 0
@@ -519,7 +529,9 @@ class TestCli:
         ("stencil_probabilities", _skewed_stencil,
          ["lq interior rows", "mfg2d interior rows"]),
         ("grad_fit_loss_raw", _gradient_off_by_1e3, ["network gradient"]),
-        ("wasserstein2", _asymmetric_w2, ["wasserstein metric axioms"]),
+        ("wasserstein2", _asymmetric_w2,
+         ["wasserstein metric axioms", "fixed-point gap bounds"]),
+        ("fixed_point_gap", _first_axis_gap, ["fixed-point gap bounds"]),
     ]
 
     @pytest.mark.parametrize("attr,broken,names", BROKEN,

@@ -1,6 +1,7 @@
-"""``scipy.optimize`` is loaded only for a state of dimension >= 2, where the
-W2 gap solves an assignment problem.  Each test runs a fresh interpreter, so
-what the test process itself has imported does not count."""
+"""No solve loads scipy: the W2 gap works on node weights in any dimension.
+Only ``wasserstein2`` of clouds in d >= 2, which ``validate`` calls, loads
+``scipy.optimize``, on its first call.  Each test runs a fresh interpreter,
+so what the test process itself has imported does not count."""
 
 import json
 import os
@@ -50,15 +51,23 @@ def test_1d_solve_never_imports_scipy_optimize(tmp_path):
     assert (tmp_path / "run" / "report.json").exists()
 
 
-def test_2d_config_imports_scipy_optimize(tmp_path):
-    run_python(f"""
+def test_2d_solve_never_imports_scipy(tmp_path):
+    out = run_python(f"""
         import sys
-        from mfgsolver.runner import RunConfig
-        assert "scipy.optimize" not in sys.modules
+        from mfgsolver.runner import RunConfig, run_algorithm1
         with open({os.path.join(CONFIG_DIR, "mfg2d.cfg")!r}) as fh:
-            RunConfig.from_ini(fh.read())
-        assert "scipy.optimize" in sys.modules
+            RunConfig.from_ini(fh.read()).build()
+        assert "scipy" not in sys.modules, "parse"
+        cfg = RunConfig(model="mfg2d", h1_coarse=0.25, h2_coarse=0.025,
+                        h1_fine=0.5, h2_fine=0.05, control_points=5,
+                        hidden=(4,), fit_max_steps=30, sa_max_steps=2,
+                        max_iters=3, seed=42, out_dir="run")
+        report = run_algorithm1(cfg)
+        assert "scipy" not in sys.modules, "solve"
+        print(report.first_w2_iter)
         """, tmp_path)
+    assert int(out) == 2  # the W2 gap was taken, and it stopped the loop
+    assert (tmp_path / "run" / "report.json").exists()
 
 
 def test_2d_wasserstein_loads_the_solver_on_first_call(tmp_path):
