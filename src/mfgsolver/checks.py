@@ -71,7 +71,7 @@ def check_local_consistency(row: TransitionRow, problem, lattice: Lattice,
                    dtype=float)
     c_bound = 2.0 * (np.linalg.norm(b) + 1.0) ** 2 * steps.h1 * steps.h2
     dev_mean = np.abs(mean - b * steps.h2)
-    dev_cov = np.abs(cov - problem.diffusion_matrix(t) * steps.h2)
+    dev_cov = np.abs(cov - problem.covariance * steps.h2)
     passed = bool(np.all(dev_mean <= 1e-10) and np.all(dev_cov <= c_bound))
     worst = max(np.max(dev_mean) / 1e-10, np.max(dev_cov) / c_bound)
     return Check("local consistency", passed, float(worst))

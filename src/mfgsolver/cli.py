@@ -58,10 +58,10 @@ def _cmd_riccati(args) -> int:
                         key, _, val = line.partition("=")
                         kw[key.strip()] = float(val)
         params = LqParams(**kw)
+        times, eta_ode = riccati_ode_solve(params, args.n)
     except (FileNotFoundError, ValueError, TypeError, SolverError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
-    times, eta_ode = riccati_ode_solve(params, args.n)
     eta_cf = riccati_closed_form(params, times)
     print("t,eta_closed_form,eta_ode,diff")
     for t, cf, od in zip(times, eta_cf, eta_ode):
@@ -130,6 +130,9 @@ def _cmd_simulate(args) -> int:
     from .runner import RunConfig, reindex_mean_path
     from .simulate import paths_to_csv, simulate_sde
 
+    if args.paths < 0:
+        print(f"--paths must be >= 0, got {args.paths}", file=sys.stderr)
+        return 2
     run_dir = os.path.dirname(args.checkpoint)
     try:
         arch, theta = load_checkpoint(args.checkpoint)

@@ -3,14 +3,13 @@ two time loops of the Markov chain approximation, each written once: the
 forward loop ``step_stencils``, which yields each step's controls and
 stencil to the chain rollout (``simulate``, around the ``chain_step``
 kernel) and to the induced law (``measures``), and the backward recursion,
-which ``dp_backward_sweep`` runs with a min over the control grid,
-``policy_value_sweep`` with one control per node, and
-``policy_start_values`` with one control per node for each of a stack of
-policies at once (the exact objective of the SA stage).  Both loops run
-by blocks of time steps (``time_blocks``): per block they evaluate the
-controls, one stencil call and the running costs with a leading time axis,
-and per step they keep only what depends on the previous step.  The
-row-level structural checks live in ``checks``.
+which ``dp_backward_sweep`` runs with a min over the control grid and
+``policy_value_sweep`` with one control per node (the value table of one
+policy, from which the SA stage takes its objective and gradient).  Both
+loops run by blocks of time steps (``time_blocks``): per block they
+evaluate the controls, one stencil call and the running costs with a
+leading time axis, and per step they keep only what depends on the
+previous step.  The row-level structural checks live in ``checks``.
 
 Transition stencil: each node talks to itself, its axis neighbours
 x +- h1*e_i, and (in d >= 2) the diagonal neighbours x +- h1*e_i +- h1*e_j.
@@ -41,6 +40,11 @@ from .errors import (
 _NEG_TOL = -1e-12
 
 
+def _check_positive(h1: float, h2: float) -> None:
+    if not (h1 > 0 and h2 > 0):
+        raise ValueError("h1 and h2 must be positive")
+
+
 @dataclass(frozen=True)
 class StepSizes:
     """State spacing h1, time step h2, and the time-step count n_time."""
@@ -50,13 +54,13 @@ class StepSizes:
     n_time: int
 
     def __post_init__(self):
-        if self.h1 <= 0 or self.h2 <= 0:
-            raise ValueError("h1 and h2 must be positive")
+        _check_positive(self.h1, self.h2)
         if self.n_time < 1:
             raise ValueError("n_time must be >= 1")
 
     @classmethod
     def for_horizon(cls, horizon: float, h1: float, h2: float) -> "StepSizes":
+        _check_positive(h1, h2)  # before h2 divides the horizon
         n = round(horizon / h2)
         if abs(n * h2 - horizon) > 1e-12:
             raise NonDivisibleDomain(
@@ -154,7 +158,7 @@ def build_lattice(problem, steps: StepSizes) -> Lattice:
     return Lattice(problem.domain_lower, problem.domain_upper, steps.h1)
 
 
-#: Budget of (time, node, row, control) evaluations per block of time steps.
+#: Budget of (time, node, control) evaluations per block of time steps.
 #: The time loops evaluate their controls, stencils and running costs once
 #: per block; a block of this size keeps the arrays small (under a few MB).
 BLOCK_EVALS = 16_384
@@ -183,7 +187,7 @@ def stencil_probabilities(problem, lattice: Lattice, steps: StepSizes,
     common case is (n_nodes, n_ctrl, k).  For a block of times, ``t`` is
     (B,), ``mbar`` (B, d) and ``alphas`` (B, n_nodes, ..., k); the model
     callbacks then see ``t`` and ``mbar`` with singleton axes that broadcast
-    against the points, and the diffusion matrix is taken at every time.
+    against the points.  The covariance ``problem.covariance`` is constant.
     Returns probabilities of shape ``alphas.shape[:-1] + (n_off,)`` aligned
     with ``lattice.stencil_offsets()`` (self first, then +e_i/-e_i per
     axis, then the diagonal quadruples per pair).  A negative or NaN entry
@@ -202,24 +206,23 @@ def stencil_probabilities(problem, lattice: Lattice, steps: StepSizes,
                                  np.reshape(mbar, shape + (d,)), alphas),
                    dtype=float)
     b = np.broadcast_to(b, alphas.shape[:-1] + (d,))
-    a = problem.diffusion_matrix(t).reshape(shape + (d, d))
+    a = problem.covariance
 
     n_off = 1 + 2 * d + 2 * d * (d - 1)
     probs = np.empty(b.shape[:-1] + (n_off,))
     scale = h2 / h1 ** 2
-    off_diag_abs = (np.sum(np.abs(a), axis=-1)
-                    - np.abs(np.diagonal(a, axis1=-2, axis2=-1)))
+    off_diag_abs = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
     pos = 1
     for i in range(d):
-        base = 0.5 * a[..., i, i] - 0.5 * off_diag_abs[..., i]
+        base = 0.5 * a[i, i] - 0.5 * off_diag_abs[i]
         bp = np.maximum(b[..., i], 0.0)
         bm = np.maximum(-b[..., i], 0.0)
         probs[..., pos] = (base + bp * h1) * scale
         probs[..., pos + 1] = (base + bm * h1) * scale
         pos += 2
     for i, j in itertools.combinations(range(d), 2):
-        ap = np.maximum(a[..., i, j], 0.0)
-        am = np.maximum(-a[..., i, j], 0.0)
+        ap = np.maximum(a[i, j], 0.0)
+        am = np.maximum(-a[i, j], 0.0)
         probs[..., pos] = 0.5 * ap * scale      # ++
         probs[..., pos + 1] = 0.5 * ap * scale  # --
         probs[..., pos + 2] = 0.5 * am * scale  # +-
@@ -294,50 +297,40 @@ def control_grid(problem, points_per_axis: int = 16) -> np.ndarray:
 
 
 def _backward(problem, lattice: Lattice, steps: StepSizes,
-              mbar_path: np.ndarray, control_layer, width: int, field=None,
-              table: bool = True) -> np.ndarray:
-    """The backward recursion of every sweep, for R value functions at once:
-    v_n[:, r] = min_c [E_{r,c} v_{n+1}[:, r] + f(., c) h2] over the
-    (B, n_nodes, R, C, k) layer ``control_layer(ts)`` of the times ``ts``
-    (B,) of a block.  The controls, the stencil and the running cost are
-    evaluated once per block of ``time_blocks(n_time, width)``, with
-    ``width`` = n_nodes * R * C; each step keeps only the gather, the
-    contraction and the min (skipped for C = 1).  For R = 1 the first
-    minimum wins and goes to ``field`` (n_time, n_nodes, k) if given.
-    Returns the (n_time+1, n_nodes, R) value table, or, without ``table``,
-    its t = 0 slice (n_nodes, R), holding two slices at a time instead of
-    the table."""
+              mbar_path: np.ndarray, control_layer, width: int,
+              field=None) -> np.ndarray:
+    """The backward recursion of every sweep: v_n = min_c [E_c v_{n+1} +
+    f(., c) h2] over the (B, n_nodes, C, k) layer ``control_layer(ts)`` of
+    the times ``ts`` (B,) of a block.  The controls, the stencil and the
+    running cost are evaluated once per block of ``time_blocks(n_time,
+    width)``, with ``width`` = n_nodes * C; each step keeps only the gather,
+    the contraction and the min (skipped for C = 1).  The first minimum
+    wins and goes to ``field`` (n_time, n_nodes, k) if given.  Returns the
+    (n_time+1, n_nodes) value table."""
     if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
     neigh = lattice.neighbor_indices()
     nodes = np.arange(lattice.n_nodes)
-    points = lattice.points[:, None, None, :]
-    v = problem.terminal_cost(lattice.points, mbar_path[-1])[:, None]
-    values = None
+    points = lattice.points[:, None, :]
+    values = np.empty((steps.n_time + 1, lattice.n_nodes))
+    values[-1] = problem.terminal_cost(lattice.points, mbar_path[-1])
     for start, stop in reversed(time_blocks(steps.n_time, width)):
         ts = np.arange(start, stop) * steps.h2
         alphas = control_layer(ts)
-        if stop == steps.n_time:
-            v = np.broadcast_to(v, (lattice.n_nodes, alphas.shape[2]))
-            if table:
-                values = np.empty((steps.n_time + 1,) + v.shape)
-                values[-1] = v
         mbar = mbar_path[start:stop]
         probs = stencil_probabilities(problem, lattice, steps, ts, mbar,
                                       alphas)
         costs = np.broadcast_to(problem.running_cost(
-            ts[:, None, None, None], points, mbar[:, None, None, None],
+            ts[:, None, None], points, mbar[:, None, None],
             alphas) * steps.h2, alphas.shape[:-1])
         for b in range(stop - start - 1, -1, -1):
-            q = np.einsum("nrco,nor->nrc", probs[b], v[neigh])
+            q = np.einsum("nco,no->nc", probs[b],
+                          values[start + b + 1][neigh])
             q += costs[b]
-            v = q[..., 0] if q.shape[2] == 1 else q.min(axis=2)
-            if values is not None:
-                values[start + b] = v
+            values[start + b] = q[:, 0] if q.shape[1] == 1 else q.min(axis=1)
             if field is not None:
-                field[start + b] = alphas[b][nodes, 0,
-                                             np.argmin(q[:, 0], axis=1)]
-    return values if table else v
+                field[start + b] = alphas[b][nodes, np.argmin(q, axis=1)]
+    return values
 
 
 def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
@@ -349,36 +342,23 @@ def dp_backward_sweep(problem, lattice: Lattice, steps: StepSizes,
     controls = np.asarray(controls, dtype=float)
     if controls.size == 0:
         raise EmptyControlGrid("control grid is empty")
-    layer = (lattice.n_nodes, 1) + controls.shape
+    layer = (lattice.n_nodes,) + controls.shape
     field = np.empty((steps.n_time, lattice.n_nodes, controls.shape[1]))
     values = _backward(problem, lattice, steps, mbar_path,
                        lambda ts: np.broadcast_to(controls, ts.shape + layer),
                        lattice.n_nodes * len(controls), field)
-    return values[..., 0], field
+    return values, field
 
 
 def policy_value_sweep(problem, lattice: Lattice, steps: StepSizes,
                        mbar_path: np.ndarray, control_fn) -> np.ndarray:
     """Backward policy evaluation under the (n_time+1, d) mean path: the
-    recursion with the one control per node of ``control_fn(ts, points)``,
-    (B, n_nodes, k) at a block of times ``ts`` (B,)."""
+    (n_time+1, n_nodes) value table of the recursion with the one control
+    per node of ``control_fn(ts, points)``, (B, n_nodes, k) at a block of
+    times ``ts`` (B,)."""
     return _backward(problem, lattice, steps, mbar_path,
-                     lambda ts: control_fn(ts, lattice.points)
-                     [:, :, None, None, :], lattice.n_nodes)[..., 0]
-
-
-def policy_start_values(problem, lattice: Lattice, steps: StepSizes,
-                        mbar_path: np.ndarray, control_rows,
-                        n_rows: int) -> np.ndarray:
-    """V(0, .) of ``n_rows`` = R policies at once, shape (n_nodes, R): the
-    recursion with the controls ``control_rows(ts, points)``, (R, B,
-    n_nodes, k) at a block of times ``ts`` (B,), one per row, time and node.
-    Column r is the t = 0 row of ``policy_value_sweep`` under the r-th
-    policy, computed without holding the value table."""
-    return _backward(problem, lattice, steps, mbar_path,
-                     lambda ts: control_rows(ts, lattice.points)
-                     .transpose(1, 2, 0, 3)[:, :, :, None, :],
-                     lattice.n_nodes * n_rows, table=False)
+                     lambda ts: control_fn(ts, lattice.points)[:, :, None, :],
+                     lattice.n_nodes)
 
 
 def validate_stepsizes(problem, lattice: Lattice, steps: StepSizes,

@@ -4,12 +4,12 @@ tanh hidden layers; the output layer is a componentwise sigmoid scaled into
 the control box, so every forward call is admissible by construction.
 Inputs are affinely normalized to [-1, 1] per axis using the horizon and
 the state box, which keeps the default initialization well conditioned.
-Parameters live in a single flat vector, layer-major (W1, b1, W2, b2, ...).
-Gradients are vector-Jacobian products (``vjp``) on a cached forward pass,
-so a caller that has already run the pass does not run it again.  The grid
-fit and the SA stage descend by one projected line-search step,
-``backtracking_step``, so their iterates stay in the box |theta_j| <=
-m_bound.
+Parameters live in a single flat vector theta (r,), layer-major (W1, b1,
+W2, b2, ...), and every pass runs one such vector.  Gradients are
+vector-Jacobian products (``vjp``) on a cached forward pass, so a caller
+that has already run the pass does not run it again.  The grid fit and the
+SA stage descend by one projected line-search step, ``backtracking_step``,
+so their iterates stay in the box |theta_j| <= m_bound.
 """
 
 from __future__ import annotations
@@ -81,18 +81,17 @@ def random_theta(arch: NetworkArchitecture, rng, scale: float = 0.5) -> np.ndarr
 
 
 def _unpack(arch: NetworkArchitecture, theta: np.ndarray):
-    if theta.shape[-1:] != (arch.n_params,):
+    if theta.shape != (arch.n_params,):
         raise LengthMismatch(
-            f"theta has shape {theta.shape}, expected (..., {arch.n_params})")
+            f"theta has shape {theta.shape}, expected ({arch.n_params},)")
     sizes = arch.layer_sizes()
-    lead = theta.shape[:-1]
     layers = []
     pos = 0
     for i in range(len(sizes) - 1):
         n_out, n_in = sizes[i + 1], sizes[i]
-        w = theta[..., pos:pos + n_out * n_in].reshape(lead + (n_out, n_in))
+        w = theta[pos:pos + n_out * n_in].reshape(n_out, n_in)
         pos += n_out * n_in
-        b = theta[..., None, pos:pos + n_out]
+        b = theta[None, pos:pos + n_out]
         pos += n_out
         layers.append((w, b))
     return layers
@@ -125,17 +124,17 @@ def _sigmoid(z):
 
 def _forward_cached(arch: NetworkArchitecture, theta: np.ndarray,
                     inputs: np.ndarray):
-    """Forward pass of theta (..., r) on normalized inputs (B, in), giving
-    outputs (..., B, k); caches activations.  Each row runs its own gemm."""
+    """Forward pass of theta (r,) on normalized inputs (B, in), giving
+    outputs (B, k); caches activations."""
     layers = _unpack(arch, theta)
     a = inputs
     cache = [a]
     for w, b in layers[:-1]:
-        z = np.matmul(a, np.swapaxes(w, -1, -2)) + b
+        z = np.matmul(a, w.T) + b
         a = np.tanh(z)
         cache.append(a)
     w, b = layers[-1]
-    z_out = np.matmul(cache[-1], np.swapaxes(w, -1, -2)) + b
+    z_out = np.matmul(cache[-1], w.T) + b
     s = _sigmoid(z_out)
     lo = np.asarray(arch.u_lower)
     hi = np.asarray(arch.u_upper)
@@ -144,21 +143,20 @@ def _forward_cached(arch: NetworkArchitecture, theta: np.ndarray,
 
 
 def forward(arch: NetworkArchitecture, theta: np.ndarray, t, x) -> np.ndarray:
-    """Control at (t, x), shape theta.shape[:-1] + broadcast(t.shape,
+    """Control of theta (r,) at (t, x), shape broadcast(t.shape,
     x.shape[:-1]) + (k,)."""
     theta = np.asarray(theta, dtype=float)
     inputs = _normalize_inputs(arch, t, x)
     flat = inputs.reshape(-1, arch.input_dim)
     out, _, _, _ = _forward_cached(arch, theta, flat)
-    return out.reshape(theta.shape[:-1] + inputs.shape[:-1]
-                       + (arch.control_dim,))
+    return out.reshape(inputs.shape[:-1] + (arch.control_dim,))
 
 
 def feedback(arch: NetworkArchitecture, theta: np.ndarray):
-    """The feedback policy (t, x) -> control of the (n, d) points ``x`` at
-    one time ``t``, shape theta.shape[:-1] + (n, k), or at each time of a
-    block ``t`` (B,), shape theta.shape[:-1] + (B, n, k), from one forward
-    pass over all (time, point) inputs; the points are normalized once."""
+    """The feedback policy (t, x) -> control of theta (r,) at the (n, d)
+    points ``x`` at one time ``t``, shape (n, k), or at each time of a block
+    ``t`` (B,), shape (B, n, k), from one forward pass over all (time,
+    point) inputs; the points are normalized once."""
     def policy(t, x):
         return forward(arch, theta, np.asarray(t, dtype=float)[..., None], x)
     return policy

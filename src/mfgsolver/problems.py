@@ -13,14 +13,14 @@ population law at time ``t`` (the first moment of the current slice), of
 shape ``(..., d)``: ``(d,)`` at one time, or with leading axes that
 broadcast against ``x`` when a block of times is evaluated at once, in which
 case ``t`` has the same leading axes.  Each model projects from ``mbar``
-whatever it needs.  ``diffusion(t, x)`` returns a ``(d, d)`` matrix
-(state-independent for both benchmarks) at one scalar time;
-``MfgProblem.diffusion_matrix`` evaluates it over a block of times.
+whatever it needs.  The diffusion is no callback: both benchmarks have a
+constant ``(d, d)`` volatility ``sigma``, and ``MfgProblem.covariance``
+holds sigma sigma^T, computed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -40,7 +40,7 @@ class MfgProblem:
     control_lower: np.ndarray
     control_upper: np.ndarray
     drift: Callable                   # (t, x, mbar, alpha) -> (..., d)
-    diffusion: Callable               # (t, x) -> (d, d)
+    volatility: np.ndarray            # constant sigma, (d, d)
     running_cost: Callable            # (t, x, mbar, alpha) -> (...,)
     terminal_cost: Callable           # (x, mbar) -> (...,)
     initial_sampler: Callable         # (rng, n) -> (n, d)
@@ -48,15 +48,11 @@ class MfgProblem:
     has_common_noise: bool = False
     noise_rho: float = 0.0
     name: str = "custom"
+    covariance: np.ndarray = field(init=False, repr=False)  # sigma sigma^T
 
-    def diffusion_matrix(self, t) -> np.ndarray:
-        """Covariance a = sigma sigma^T (state-independent models) at one
-        time ``t``, (d, d), or at each time of a block ``t`` (B,), (B, d, d):
-        one callback per time at one zero state, then one stacked product."""
-        x0 = np.zeros(self.dim)
-        s = np.stack([np.asarray(self.diffusion(ti, x0), dtype=float)
-                      for ti in np.ravel(t).tolist()])
-        return (s @ np.swapaxes(s, -1, -2)).reshape(np.shape(t) + s.shape[1:])
+    def __post_init__(self):
+        self.volatility = np.asarray(self.volatility, dtype=float)
+        self.covariance = self.volatility @ self.volatility.T
 
     def control_midpoint(self) -> np.ndarray:
         return 0.5 * (self.control_lower + self.control_upper)
@@ -116,9 +112,6 @@ def lq_problem(
         u = mbar[..., :1]
         return p.a * (u - x) + alpha
 
-    def diffusion(t, x):
-        return np.array([[p.sigma]])
-
     def running_cost(t, x, mbar, alpha):
         u = mbar[..., 0]
         al = alpha[..., 0]
@@ -142,7 +135,7 @@ def lq_problem(
         control_lower=np.array([control_box[0]]),
         control_upper=np.array([control_box[1]]),
         drift=drift,
-        diffusion=diffusion,
+        volatility=np.array([[p.sigma]]),
         running_cost=running_cost,
         terminal_cost=terminal_cost,
         initial_sampler=initial_sampler,
@@ -270,9 +263,6 @@ def mfg2d_problem(sigma: float = 0.5, horizon: float = 1.0) -> MfgProblem:
     def drift(t, x, mbar, alpha):
         return 2.0 * x - alpha
 
-    def diffusion(t, x):
-        return sigma * np.eye(2)
-
     def running_cost(t, x, mbar, alpha):
         dev = 4.0 * x - 5.0 * mbar
         return np.sum(dev ** 2, axis=-1) + np.sum(alpha ** 2, axis=-1)
@@ -304,7 +294,7 @@ def mfg2d_problem(sigma: float = 0.5, horizon: float = 1.0) -> MfgProblem:
         control_lower=np.zeros(2),
         control_upper=np.full(2, 1.5),
         drift=drift,
-        diffusion=diffusion,
+        volatility=sigma * np.eye(2),
         running_cost=running_cost,
         terminal_cost=terminal_cost,
         initial_sampler=initial_sampler,

@@ -418,15 +418,11 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         # Step 5: projected gradient ascent on the exact objective
         with _timed(stage_s, "sa"):
             sa_trace: list = []
-
-            def objective(theta):
-                return float(improvement(problem, lat_c, steps_c, mbar_path,
-                                         arch, theta[None])[0])
-
+            sa_args = (problem, lat_c, steps_c, mbar_path, arch)
             theta = train(theta0, config.m_bound, config.sa_max_steps,
-                          objective, functools.partial(
-                              gradient, problem, lat_c, steps_c, mbar_path,
-                              arch), trace=sa_trace)
+                          functools.partial(improvement, *sa_args),
+                          functools.partial(gradient, *sa_args),
+                          trace=sa_trace)
 
         # Step 6: value sweep on the fine lattice under the network control
         with _timed(stage_s, "fine_sweep"):

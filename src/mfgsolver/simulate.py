@@ -91,11 +91,10 @@ def simulate_sde(problem, policy, mbar_path, n_paths: int, steps, seed: int,
         controls[:, n] = al
         b = np.asarray(problem.drift(t, x, mbar_path[n], al), dtype=float)
         b = np.broadcast_to(b, x.shape)
-        sig = np.asarray(problem.diffusion(t, np.zeros(d)), dtype=float)
         dw = rng.standard_normal((n_paths, d)) * sq
         if w0 is not None:
             dw = rho * dw0[n] + mix * dw
-        x = x + b * steps.h2 + dw @ sig.T
+        x = x + b * steps.h2 + dw @ problem.volatility.T
         if problem.bounded_domain:
             x = np.clip(x, problem.domain_lower, problem.domain_upper)
         states[:, n + 1] = x

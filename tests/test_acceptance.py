@@ -138,8 +138,9 @@ def test_criterion_06_kw_convergence_oracle():
     optimum t*, and clip(t*) when t* lies outside the box."""
     def run(tstar, m_bound):
         out = train(np.zeros(5), m_bound, 5000,
-                    lambda theta: -float(np.sum((theta - tstar) ** 2)),
-                    lambda theta: -2.0 * (theta - tstar))
+                    lambda theta: (-float(np.sum((theta - tstar) ** 2)),
+                                   None),
+                    lambda theta, _: -2.0 * (theta - tstar))
         return float(np.max(np.abs(out - np.clip(tstar, -m_bound,
                                                   m_bound))))
 

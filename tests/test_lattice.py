@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,19 +232,19 @@ class TestBatchProbabilities:
 
 
 def time_varying_problem(spike_at=None):
-    """The 2-D model with a drift and a correlated diffusion that change
-    with t; at ``spike_at`` the diffusion jumps so that the self-loop goes
+    """The 2-D model with a correlated volatility and a drift that changes
+    with t; at ``spike_at`` the drift jumps so that the self-loop goes
     negative at that time only."""
-    problem = mfg2d_problem()
+    problem = dataclasses.replace(
+        mfg2d_problem(), volatility=0.3 * np.array([[1.0, 0.3], [0.0, 1.0]]))
 
     def drift(t, x, m, a):
-        return (1.0 + np.asarray(t)[..., None]) * x - a + 0.1 * m
+        t = np.asarray(t)[..., None]
+        gain = 1.0 + t if spike_at is None else \
+            np.where(t == spike_at, 20.0, 1.0 + t)
+        return gain * x - a + 0.1 * m
 
-    def diffusion(t, x):
-        scale = 2.5 if t == spike_at else 0.3 + 0.2 * t
-        return scale * np.array([[1.0, 0.3], [0.0, 1.0]])
-
-    problem.drift, problem.diffusion = drift, diffusion
+    problem.drift = drift
     return problem
 
 

@@ -10,8 +10,9 @@ weights with the dense transition matrix of each step, built row by row from
 stencils and costs once per block of time steps, must give the same arrays
 on the shipped ``lq`` and ``mfg2d`` setups, at the coarse and the fine
 spacing, for grid and callable controls, and for blocks of one step, of a
-length that does not divide the step count, and of the whole horizon.  The exact SA evaluator, the same recursion over a stack of
-parameter rows, must give the policy sweep's value at t = 0 for each row.
+length that does not divide the step count, and of the whole horizon.  The
+exact SA evaluator is the policy sweep of one parameter vector: its
+objective is minus the mean of the sweep's t = 0 row, bit for bit.
 
 Grid fields match bit for bit everywhere, and so do network policies on
 ``mfg2d``.  On ``lq`` a network policy matches to 1e-12 relative: a block
@@ -29,8 +30,7 @@ import pytest
 from mfgsolver import lattice as lattice_module
 from mfgsolver.checks import transition_row
 from mfgsolver.lattice import (StepSizes, chain_step, dp_backward_sweep,
-                               policy_start_values, policy_value_sweep,
-                               stencil_probabilities)
+                               policy_value_sweep, stencil_probabilities)
 from mfgsolver.measures import induced_measure
 from mfgsolver.network import feedback, random_theta
 from mfgsolver.runner import RunConfig
@@ -316,23 +316,22 @@ def test_policy_sweep_in_blocks_equals_reference(blocked):
                                    policy), network)
 
 
-@pytest.mark.parametrize("n_rows", [1, 2])
-def test_start_values_in_blocks_equal_reference(blocked, n_rows):
-    """Column r is the t = 0 row of the reference sweep under row r.  With
-    two rows einsum sums the stencil columns in another order, so they
-    match to rounding."""
+@pytest.mark.parametrize("n_thetas", [1, 2])
+def test_start_values_in_blocks_equal_reference(blocked, n_thetas):
+    """SA's objective of each of the first ``n_thetas`` parameter vectors,
+    evaluated in blocks, is minus the mean over nodes of the t = 0 row of
+    the value table it returns, bit for bit; that table is the policy
+    sweep's, bit for bit, and the reference sweep's."""
     b = blocked
-    b.block(b.lat.n_nodes * n_rows)
-    thetas = b.thetas[:n_rows]
-    got = policy_start_values(b.problem, b.lat, b.steps, b.mbar_path,
-                              feedback(b.arch, thetas), n_rows)
-    ref = np.stack([ref_policy_value_sweep(b.problem, b.lat, b.steps,
-                                           b.mbar_path, p)[0]
-                    for p in b.policies[:n_rows]], axis=1)
-    if n_rows == 1:
-        assert_policy_match(b, got, ref, True)
-    else:
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    b.block(b.lat.n_nodes)
+    for theta, policy in zip(b.thetas[:n_thetas], b.policies[:n_thetas]):
+        g, values = improvement(b.problem, b.lat, b.steps, b.mbar_path,
+                                b.arch, theta)
+        assert g == -np.mean(values[0])
+        assert np.array_equal(values, policy_value_sweep(
+            b.problem, b.lat, b.steps, b.mbar_path, policy))
+        assert_policy_match(b, values, ref_policy_value_sweep(
+            b.problem, b.lat, b.steps, b.mbar_path, policy), True)
 
 
 def test_induced_measure_in_blocks_equals_reference(blocked, law_oracle):
@@ -360,24 +359,17 @@ def coarse_setup(request):
     return problem, steps, lat, mbar_path, arch
 
 
-@pytest.mark.parametrize("n_rows", [1, 5])
-def test_exact_evaluator_equals_policy_sweeps(coarse_setup, n_rows):
-    """Row p is -mean over nodes of the t = 0 row of the policy sweep under
-    theta_p.  One row runs the sweep's arithmetic and matches bit for bit;
-    with more rows einsum sums the stencil columns in another order, so the
-    rows match to rounding."""
+@pytest.mark.parametrize("n_thetas", [1, 5])
+def test_exact_evaluator_equals_policy_sweeps(coarse_setup, n_thetas):
+    """G of each theta is -mean over nodes of the t = 0 row of the policy
+    sweep under theta, bit for bit."""
     problem, steps, lat, mbar_path, arch = coarse_setup
-    rng = np.random.default_rng(n_rows)
-    thetas = np.stack([random_theta(arch, rng, scale=s)
-                       for s in np.linspace(0.5, 3.0, n_rows)])
-    exact = improvement(problem, lat, steps, mbar_path, arch, thetas)
-    swept = np.array([-np.mean(policy_value_sweep(
-        problem, lat, steps, mbar_path, feedback(arch, theta))[0])
-        for theta in thetas])
-    if n_rows == 1:
-        assert np.array_equal(exact, swept)
-    else:
-        np.testing.assert_allclose(exact, swept, rtol=1e-12, atol=0)
+    rng = np.random.default_rng(n_thetas)
+    for scale in np.linspace(0.5, 3.0, n_thetas):
+        theta = random_theta(arch, rng, scale=scale)
+        g, _ = improvement(problem, lat, steps, mbar_path, arch, theta)
+        assert g == -np.mean(policy_value_sweep(
+            problem, lat, steps, mbar_path, feedback(arch, theta))[0])
 
 
 def test_induced_mean_path_agrees_with_chains(coarse_setup):

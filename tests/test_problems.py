@@ -69,7 +69,8 @@ class TestLqProblem:
 
     def test_diffusion_matrix(self):
         problem = lq_problem(LqParams(sigma=2.0))
-        np.testing.assert_allclose(problem.diffusion_matrix(0.0), [[4.0]])
+        np.testing.assert_array_equal(problem.volatility, [[2.0]])
+        np.testing.assert_allclose(problem.covariance, [[4.0]])
 
     def test_initial_sampler_uniform(self):
         problem = lq_problem(LqParams())
@@ -130,8 +131,8 @@ class TestMfg2d:
 
     def test_diffusion(self):
         problem = mfg2d_problem()
-        np.testing.assert_allclose(problem.diffusion_matrix(0.0),
-                                   0.25 * np.eye(2))
+        np.testing.assert_array_equal(problem.volatility, 0.5 * np.eye(2))
+        np.testing.assert_allclose(problem.covariance, 0.25 * np.eye(2))
 
 
 class TestBlockOfMeans:

@@ -420,6 +420,12 @@ class TestCli:
         p.write_text("epsilon=0.0\n")
         assert main(["riccati", "--params", str(p)]) == 2
 
+    def test_riccati_too_few_steps_exit_2(self, capsys):
+        assert main(["riccati", "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "bad parameters: n_steps must be >= 10\n"
+        assert captured.out == ""
+
     def test_solve_missing_config_exit_2(self, capsys):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
         assert "not found" in capsys.readouterr().err
@@ -452,6 +458,8 @@ class TestCli:
         ("lq.cfg", "lattice", "h1_coarse", "-0.2", "h1_coarse"),
         ("lq.cfg", "lattice", "h2_coarse", "0.03", "h2_coarse"),
         ("lq.cfg", "lattice", "h1_fine", "0.07", "h1_fine"),
+        ("lq.cfg", "lattice", "h2_coarse", "0", "h2_coarse"),
+        ("lq.cfg", "lattice", "h2_fine", "0", "h2_fine"),
         ("lq.cfg", "sa", "n_mc", "0", "n_mc"),
         ("lq.cfg", "sa", "m_bound", "-1", "m_bound"),
         ("lq.cfg", "iteration", "max_iter", "1", "iteration/max_iter"),
@@ -650,6 +658,20 @@ class TestCli:
                      "--out", str(tmp_path / "sim.csv")]) == 2
         assert "measures.csv" in capsys.readouterr().err
         assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--h2", "0", "h1 and h2 must be positive"),
+        ("--paths", "-1", "--paths must be >= 0, got -1")])
+    def test_simulate_bad_option_exit_2(self, tiny_run, tmp_path, capsys,
+                                        option, value, message):
+        cfg, _ = tiny_run
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--checkpoint",
+                     os.path.join(cfg.out_dir, "theta_final.csv"),
+                     option, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_simulate_missing_checkpoint_exit_2(self, tmp_path):
         assert main(["simulate", "--checkpoint",

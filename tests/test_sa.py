@@ -1,35 +1,45 @@
 import os
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import mfgsolver.lattice
+import mfgsolver.runner
 import mfgsolver.sa
 from mfgsolver.errors import NonFiniteEvaluation
 from mfgsolver.lattice import (StepSizes, build_lattice, chain_step,
                                stencil_probabilities)
 from mfgsolver.network import (NetworkArchitecture, forward, random_theta,
                                zero_theta)
-from mfgsolver.runner import RunConfig, _initial_law
+from mfgsolver.runner import RunConfig, _initial_law, run_algorithm1
 from mfgsolver.sa import gradient, improvement, kw_step, train
 from mfgsolver.seeding import substream
 
 
 def quadratic(tstar):
-    """G(theta) = -|theta - t*|^2 and its exact gradient."""
+    """G(theta) = -|theta - t*|^2 and its exact gradient, as the objective
+    ``theta -> (G, aux)`` and gradient ``(theta, aux) -> grad`` of
+    ``kw_step``; the aux is theta - t*."""
     def objective(theta):
-        return -float(np.sum((theta - tstar) ** 2))
+        return -float(np.sum((theta - tstar) ** 2)), theta - tstar
 
-    def grad_fn(theta):
-        return -2.0 * (theta - tstar)
+    def grad_fn(theta, diff):
+        return -2.0 * diff
 
     return objective, grad_fn
 
 
+def g_of(objective, theta):
+    return objective(theta)[0]
+
+
 def step_on(tstar, theta, lr, m_bound=10.0):
     objective, grad_fn = quadratic(tstar)
-    return kw_step(theta, objective(theta), grad_fn(theta), lr, m_bound,
-                   objective, grad_fn)
+    g, diff = objective(theta)
+    return kw_step(theta, g, grad_fn(theta, diff), lr, m_bound, objective,
+                   grad_fn)
 
 
 class TestKwStep:
@@ -39,8 +49,8 @@ class TestKwStep:
         nxt, g, grad, info = step_on(tstar, np.zeros(3), 0.25)
         np.testing.assert_array_equal(nxt, 0.5 * tstar)
         assert info == {"eps": 0.25, "projected": False}
-        assert g == quadratic(tstar)[0](nxt)
-        np.testing.assert_array_equal(grad, quadratic(tstar)[1](nxt))
+        assert g == g_of(quadratic(tstar)[0], nxt)
+        np.testing.assert_array_equal(grad, -2.0 * (nxt - tstar))
 
     def test_projection_term_recorded(self):
         nxt, _, _, info = step_on(np.array([50.0]), np.zeros(1), 1.0,
@@ -77,25 +87,27 @@ class TestKwStep:
             calls.append(theta.copy())
             return objective(theta)
 
-        def counted_grad(theta):
-            grads.append(theta.copy())
-            return grad_fn(theta)
+        def counted_grad(theta, diff):
+            grads.append((theta.copy(), diff))
+            return grad_fn(theta, diff)
 
-        nxt, g, _, info = kw_step(np.zeros(2), objective(np.zeros(2)),
-                                  grad_fn(np.zeros(2)), 1.0, 10.0, counted,
-                                  counted_grad)
+        zero = np.zeros(2)
+        nxt, g, _, info = kw_step(zero, g_of(objective, zero),
+                                  grad_fn(zero, zero - tstar), 1.0, 10.0,
+                                  counted, counted_grad)
         assert info["eps"] == 0.5
         np.testing.assert_array_equal(nxt, tstar)
         assert len(calls) == 2 and g == 0.0
-        # one gradient, at the accepted point
-        assert len(grads) == 1 and np.array_equal(grads[0], tstar)
+        # one gradient, at the accepted point, on its trial's aux
+        assert len(grads) == 1 and np.array_equal(grads[0][0], tstar)
+        assert np.array_equal(grads[0][1], np.zeros(2))
 
     def test_nonfinite_raises(self):
         def bad(theta):
-            return np.nan
+            return np.nan, None
         with pytest.raises(NonFiniteEvaluation):
             kw_step(np.zeros(2), 0.0, np.ones(2), 0.1, 10.0, bad,
-                    lambda theta: np.ones(2))
+                    lambda theta, aux: np.ones(2))
 
 
 class TestTrain:
@@ -107,8 +119,8 @@ class TestTrain:
     def test_flat_objective_returns_start(self):
         theta0 = np.array([0.7, -0.2])
         trace = []
-        out = train(theta0, 10.0, 100, lambda theta: 1.0,
-                    lambda theta: np.zeros(2), trace=trace)
+        out = train(theta0, 10.0, 100, lambda theta: (1.0, None),
+                    lambda theta, aux: np.zeros(2), trace=trace)
         np.testing.assert_array_equal(out, theta0)
         assert [row["l"] for row in trace] == [0]
 
@@ -120,10 +132,10 @@ class TestTrain:
         objective, grad_fn = quadratic(tstar)
         trace = []
         out = train(theta0, 10.0, 1, objective, grad_fn, trace=trace)
-        assert objective(out) > objective(theta0)
+        assert g_of(objective, out) > g_of(objective, theta0)
         assert [row["l"] for row in trace] == [0, 1]
-        assert trace[0]["G"] == objective(theta0)
-        assert trace[-1]["G"] == objective(out)
+        assert trace[0]["G"] == g_of(objective, theta0)
+        assert trace[-1]["G"] == g_of(objective, out)
 
     def test_trace_recorded(self):
         trace = []
@@ -151,16 +163,16 @@ class TestImprovement:
         # the exact objective draws nothing, so a solve's evaluator gives the
         # same values at every seed
         problem, steps, lat, m, arch = setup
-        theta = zero_theta(arch)[None]
-        a = improvement(problem, lat, steps, m, arch, theta)
-        b = improvement(problem, lat, steps, m, arch, theta)
-        assert np.array_equal(a, b)
+        theta = zero_theta(arch)
+        g_a, values_a = improvement(problem, lat, steps, m, arch, theta)
+        g_b, values_b = improvement(problem, lat, steps, m, arch, theta)
+        assert g_a == g_b and np.array_equal(values_a, values_b)
 
     def test_negative_of_cost(self, setup):
         # costs are nonnegative for the LQ model only up to the cross term;
         # with zero control the running cost is pure quadratic >= 0
         problem, steps, lat, m, arch = setup
-        g = improvement(problem, lat, steps, m, arch, zero_theta(arch)[None])
+        g, _ = improvement(problem, lat, steps, m, arch, zero_theta(arch))
         assert np.isfinite(g)
 
 
@@ -168,8 +180,9 @@ def mc_improvement(problem, lattice, steps, mbar_path, arch, thetas, n_mc,
                    seed):
     """Reference: the paper's Monte-Carlo estimate of the objective, (P,).
 
-    ``n_mc`` chains from each node per row of ``thetas``, all rows stepped
-    on the uniforms drawn from ``seed`` (common random numbers)."""
+    ``n_mc`` chains from each node per row of ``thetas``, each row's
+    controls from its own forward pass, all rows stepped on the uniforms
+    drawn from ``seed`` (common random numbers)."""
     rng = substream(seed, "improve")
     n_nodes = lattice.n_nodes
     rows = np.arange(len(thetas))[:, None]
@@ -179,8 +192,9 @@ def mc_improvement(problem, lattice, steps, mbar_path, arch, thetas, n_mc,
     total = np.zeros(nodes.shape)
     for n in range(steps.n_time):
         t = n * steps.h2
-        layer = forward(arch, thetas, np.full(n_nodes, t),
-                        lattice.points).transpose(1, 0, 2)    # (N, P, k)
+        layer = np.stack([forward(arch, theta, np.full(n_nodes, t),
+                                  lattice.points)
+                          for theta in thetas], axis=1)       # (N, P, k)
         probs = stencil_probabilities(problem, lattice, steps, t,
                                       mbar_path[n], layer)
         cost = problem.running_cost(t, lattice.points[:, None, :],
@@ -238,7 +252,8 @@ class TestExactEvaluator:
         rng = substream(12, "exact-theta")
         thetas = np.stack([random_theta(arch, rng, scale=3.0)
                            for _ in range(3)])
-        exact = improvement(problem, lat, steps, m, arch, thetas)
+        exact = np.array([improvement(problem, lat, steps, m, arch, theta)[0]
+                          for theta in thetas])
         mc = np.array([mc_improvement(problem, lat, steps, m, arch, thetas, 4,
                                       seed) for seed in range(40)])
         se = mc.std(axis=0, ddof=1) / np.sqrt(len(mc))
@@ -250,8 +265,7 @@ class TestExactEvaluator:
         bad = m.copy()
         bad[-1] = np.inf
         with pytest.raises(NonFiniteEvaluation):
-            improvement(problem, lat, steps, bad, arch,
-                        zero_theta(arch)[None])
+            improvement(problem, lat, steps, bad, arch, zero_theta(arch))
 
 
 class TestBatchedOracle:
@@ -277,21 +291,18 @@ class TestBatchedOracle:
         # G it returns is that of the point it returns
         problem, steps, lat, m, arch = oracle_setup
         theta = random_theta(arch, substream(3, "oracle-kw"), scale=3.0)
+        objective = partial(improvement, problem, lat, steps, m, arch)
+        grad_fn = partial(gradient, problem, lat, steps, m, arch)
 
-        def objective(th):
-            return float(improvement(problem, lat, steps, m, arch,
-                                     th[None])[0])
-
-        def grad_fn(th):
-            return gradient(problem, lat, steps, m, arch, th)
-
-        g0, grad = objective(theta), grad_fn(theta)
+        g0, values = objective(theta)
+        grad = grad_fn(theta, values)
         nxt, g1, grad1, info = kw_step(theta, g0, grad, 1e-2, 10.0,
                                        objective, grad_fn)
         np.testing.assert_array_equal(
             nxt, np.clip(theta + info["eps"] * grad, -10.0, 10.0))
-        assert g1 == objective(nxt) and g1 >= g0
-        np.testing.assert_array_equal(grad1, grad_fn(nxt))
+        g_next, values_next = objective(nxt)
+        assert g1 == g_next and g1 >= g0
+        np.testing.assert_array_equal(grad1, grad_fn(nxt, values_next))
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -314,13 +325,17 @@ def gradient_error(problem, steps, lat, m, arch, delta=1e-6):
     differences of ``improvement``, over five random parameter vectors."""
     rng = substream(19, "gradient-oracle")
     worst = 0.0
+
+    def objective(theta):
+        return improvement(problem, lat, steps, m, arch, theta)[0]
+
     for _ in range(5):
         theta = random_theta(arch, rng, scale=1.0)
-        kicks = delta * np.eye(len(theta))
-        fd = (improvement(problem, lat, steps, m, arch, theta + kicks)
-              - improvement(problem, lat, steps, m, arch, theta - kicks)) \
+        fd = np.array([objective(theta + kick) - objective(theta - kick)
+                       for kick in delta * np.eye(len(theta))]) \
             / (2.0 * delta)
-        g = gradient(problem, lat, steps, m, arch, theta)
+        g = gradient(problem, lat, steps, m, arch, theta,
+                     improvement(problem, lat, steps, m, arch, theta)[1])
         worst = max(worst, np.max(np.abs(g - fd)) / np.max(np.abs(fd)))
     return worst
 
@@ -333,20 +348,17 @@ class TestGradient:
         # along a phase's rows G never falls, and the last row's G is the
         # objective of the returned theta
         problem, steps, lat, m, arch = shipped_coarse
-
-        def objective(th):
-            return float(improvement(problem, lat, steps, m, arch,
-                                     th[None])[0])
+        objective = partial(improvement, problem, lat, steps, m, arch)
 
         trace = []
         theta0 = random_theta(arch, substream(23, "train-ascent"), scale=1.0)
         out = train(theta0, 10.0, 10, objective,
-                    lambda th: gradient(problem, lat, steps, m, arch, th),
+                    partial(gradient, problem, lat, steps, m, arch),
                     trace=trace)
         g = [row["G"] for row in trace]
         assert len(g) > 1 and g[-1] > g[0]
         assert all(b >= a for a, b in zip(g, g[1:]))
-        assert g[-1] == objective(out)
+        assert g[-1] == objective(out)[0]
 
     def test_uniform_visit_weights_fail(self, shipped_coarse, monkeypatch):
         # mutation: weighting every step by the uniform start law instead of
@@ -356,3 +368,40 @@ class TestGradient:
 
         monkeypatch.setattr(mfgsolver.sa, "induced_measure", uniform)
         assert gradient_error(*shipped_coarse) > 1e-3
+
+
+def test_sa_phase_sweeps_each_theta_once(tmp_path, monkeypatch):
+    """One SA phase of a solve runs one backward recursion per parameter
+    vector it evaluates: the gradient at an accepted point reads the value
+    table of the trial that accepted it and sweeps nothing itself.  The
+    recursions are counted inside ``train`` only, which leaves out the DP
+    and the fine sweep."""
+    counts = {"sweeps": 0, "thetas": 0, "in_sa": False}
+    backward = mfgsolver.lattice._backward
+    improvement_fn, train_fn = mfgsolver.runner.improvement, \
+        mfgsolver.runner.train
+
+    def counting_backward(*args, **kwargs):
+        counts["sweeps"] += counts["in_sa"]
+        return backward(*args, **kwargs)
+
+    def counting_improvement(*args, **kwargs):
+        counts["thetas"] += 1
+        return improvement_fn(*args, **kwargs)
+
+    def flagged_train(*args, **kwargs):
+        counts["in_sa"] = True
+        try:
+            return train_fn(*args, **kwargs)
+        finally:
+            counts["in_sa"] = False
+
+    monkeypatch.setattr(mfgsolver.lattice, "_backward", counting_backward)
+    monkeypatch.setattr(mfgsolver.runner, "improvement", counting_improvement)
+    monkeypatch.setattr(mfgsolver.runner, "train", flagged_train)
+    run_algorithm1(RunConfig(
+        model="lq", h1_coarse=0.5, h2_coarse=0.05, h1_fine=0.5, h2_fine=0.05,
+        control_points=5, hidden=(4,), fit_max_steps=150, sa_max_steps=3,
+        max_iters=1, seed=42, out_dir=str(tmp_path / "out")))
+    assert counts["thetas"] >= 2  # the start and at least one trial
+    assert counts["sweeps"] == counts["thetas"]
