@@ -24,10 +24,13 @@ def _cmd_solve(args) -> int:
     from .runner import RunConfig, run_algorithm1
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2
     try:
         config = RunConfig.from_ini(text)
@@ -59,7 +62,7 @@ def _cmd_riccati(args) -> int:
                         kw[key.strip()] = float(val)
         params = LqParams(**kw)
         times, eta_ode = riccati_ode_solve(params, args.n)
-    except (FileNotFoundError, ValueError, TypeError, SolverError) as exc:
+    except (OSError, ValueError, TypeError, SolverError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
     eta_cf = riccati_closed_form(params, times)

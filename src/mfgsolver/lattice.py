@@ -264,21 +264,29 @@ def chain_step(lattice: Lattice, probs: np.ndarray, nodes: np.ndarray,
     return np.take(lattice.neighbor_indices().ravel(), nodes * n_off + offset)
 
 
+def control_blocks(lattice: Lattice, steps: StepSizes, controls):
+    """Yield ``(start, stop, layers)`` for the blocks of ``time_blocks``
+    in order: the (stop - start, n_nodes, k) controls of the time steps
+    start..stop-1.  ``controls`` is a (n_time, n_nodes, k) grid field or a
+    callable ``(ts, points) -> (B, n_nodes, k)`` of the controls over the
+    lattice points at a block of times, evaluated once per block."""
+    for start, stop in time_blocks(steps.n_time, lattice.n_nodes):
+        yield start, stop, (
+            controls(np.arange(start, stop) * steps.h2, lattice.points)
+            if callable(controls) else controls[start:stop])
+
+
 def step_stencils(problem, lattice: Lattice, steps: StepSizes, controls,
                   mbar_path: np.ndarray):
     """Yield ``(n, layer, probs)`` for the time steps n = 0..n_time-1 in
     order: the (n_nodes, k) controls of step n and their (n_nodes, n_off)
-    stencil probabilities.  ``controls`` is a (n_time, n_nodes, k) grid
-    field or a callable ``(ts, points) -> (B, n_nodes, k)`` of the controls
-    over the lattice points at a block of times; controls and stencils are
-    evaluated once per block of ``time_blocks``."""
+    stencil probabilities.  ``controls`` is as in ``control_blocks``;
+    controls and stencils are evaluated once per block."""
     if len(mbar_path) != steps.n_time + 1:
         raise DimensionMismatch("measure path length must be n_time + 1")
-    for start, stop in time_blocks(steps.n_time, lattice.n_nodes):
-        ts = np.arange(start, stop) * steps.h2
-        layers = controls(ts, lattice.points) if callable(controls) \
-            else controls[start:stop]
-        probs = stencil_probabilities(problem, lattice, steps, ts,
+    for start, stop, layers in control_blocks(lattice, steps, controls):
+        probs = stencil_probabilities(problem, lattice, steps,
+                                      np.arange(start, stop) * steps.h2,
                                       mbar_path[start:stop],
                                       layers[:, :, None, :])[:, :, 0]
         yield from zip(range(start, stop), layers, probs)
@@ -394,7 +402,10 @@ def csv_blocks(fixed: np.ndarray, n_values: int):
 
 
 def _grid_table_to_csv(path, lattice: Lattice, steps: StepSizes,
-                       table: np.ndarray, names: list) -> None:
+                       table, names: list) -> None:
+    """Rows ``t,x1..xd,<names>``, one per time and node, of ``table``: an
+    array or any iterable of per-time (n_nodes,) or (n_nodes, c) layers,
+    written as they come."""
     header = ",".join(["t", *(f"x{i+1}" for i in range(lattice.dims)), *names])
     block = csv_blocks(lattice.points, len(names))
     with open(path, "w") as fh:
@@ -409,6 +420,13 @@ def value_table_to_csv(path, lattice: Lattice, steps: StepSizes,
 
 
 def control_field_to_csv(path, lattice: Lattice, steps: StepSizes,
-                         field: np.ndarray) -> None:
-    _grid_table_to_csv(path, lattice, steps, field,
-                       [f"a{i+1}" for i in range(field.shape[2])])
+                         controls) -> None:
+    """Rows ``t,x1..xd,a1..ak`` of the controls of ``control_blocks``: a
+    (n_time, n_nodes, k) field, or a policy ``(ts, points) -> (B, n_nodes,
+    k)`` evaluated and written one block of times at a time, so its whole
+    field is never held."""
+    layers = itertools.chain.from_iterable(
+        layers for _, _, layers in control_blocks(lattice, steps, controls))
+    first = next(layers)
+    _grid_table_to_csv(path, lattice, steps, itertools.chain([first], layers),
+                       [f"a{i+1}" for i in range(first.shape[-1])])

@@ -19,6 +19,12 @@ the iteration after the first frozen one repeats it bit for bit: it reuses
 that result and still writes its own trace rows and checkpoint (a resumed run
 recomputes it).  ``timing.txt`` holds the wall seconds, the count of reused
 iterations and the seconds spent per stage.
+
+After each iteration ``resume_state.npz`` commits what a resume cannot
+rebuild (``STATE_KEYS``): the laws, theta, the stop-test counters and the
+best G.  The fine value table is a function of theta and the law, so a
+resume rebuilds it with the committed iteration's fine sweep; ``load_state``
+checks a state before the run writes anything.
 """
 
 from __future__ import annotations
@@ -31,13 +37,14 @@ import itertools
 import json
 import os
 import time
+import zipfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .errors import ConfigError, NegativeProbability, SolverError
 from .lattice import (StepSizes, build_lattice, control_grid,
-                      dp_backward_sweep, policy_value_sweep, time_blocks,
+                      dp_backward_sweep, policy_value_sweep,
                       validate_stepsizes, value_table_to_csv,
                       control_field_to_csv)
 from .measures import (average_update, fixed_point_gap, induced_measure,
@@ -287,6 +294,51 @@ def reindex_mean_path(mbar_path: np.ndarray, steps_c: StepSizes,
 #: The SA tag of ``resume_state.npz``: projected ascent on the exact gradient.
 SA_TAG = "exact-ascent"
 
+#: The arrays of ``resume_state.npz``.  A state written while it still held
+#: the fine value table ``v_fine`` resumes too; that table is never read.
+STATE_KEYS = ("k", "m_bar", "m_induced", "theta", "first_w2", "first_value",
+              "best_g", "sa_objective")
+
+
+def load_state(path: str, arch, law_shape: tuple) -> dict:
+    """The arrays ``STATE_KEYS`` of the resume state at ``path``, checked:
+    a readable ``.npz`` with every key, the SA tag ``SA_TAG``, the
+    ``law_shape`` node-weight tables ``m_bar`` and ``m_induced``, scalar
+    counters and a theta of ``arch``.  Anything else raises ``ConfigError``
+    naming the file, before the run writes anything."""
+    fresh = "start a fresh run without --resume"
+    try:
+        with np.load(path) as blob:
+            state = {name: blob[name] for name in STATE_KEYS
+                     if name in blob.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path} is not a readable resume state "
+                          f"({type(exc).__name__}); {fresh}") from exc
+    # a state without the tag was written when SA scored the Monte-Carlo
+    # estimate, one tagged "exact" by Kiefer-Wolfowitz steps on the exact
+    # objective; continuing either would mix two optimisers in one run
+    if "sa_objective" not in state or str(state["sa_objective"]) != SA_TAG:
+        raise ConfigError(f"{path} was written under another SA objective; "
+                          f"{fresh}")
+    missing = [name for name in STATE_KEYS if name not in state]
+    if missing:
+        raise ConfigError(f"{path} lacks {', '.join(missing)}; {fresh}")
+    # a particle path, or weights on another lattice, cannot be continued
+    if any(state[name].shape != law_shape for name in ("m_bar", "m_induced")):
+        raise ConfigError(f"{path} does not hold {law_shape} node weight "
+                          f"tables; {fresh}")
+    scalars = ("k", "first_w2", "first_value", "best_g")
+    if any(state[name].shape != () for name in scalars):
+        raise ConfigError(f"{path} does not hold scalar "
+                          f"{', '.join(scalars)}; {fresh}")
+    if state["theta"].shape != (arch.n_params,):
+        raise ConfigError(f"{path} holds theta of shape "
+                          f"{state['theta'].shape}, not ({arch.n_params},), "
+                          f"the network of [network] hidden = "
+                          f"{','.join(map(str, arch.hidden))}; {fresh}")
+    return state
+
+
 #: Draws of the initial sampler whose node counts make the initial law.
 INITIAL_DRAWS = 20_000
 
@@ -317,22 +369,9 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     _check_stepsizes(problem, ((lat_c, steps_c), (lat_f, steps_f)), controls)
     threshold = w2_stop_threshold(config.w2_q, config.h1_coarse)
     resume_file = os.path.join(out, "resume_state.npz")
-    blob = np.load(resume_file) if resume and os.path.exists(resume_file) \
-        else None
-    # a state without the tag was written when SA scored the Monte-Carlo
-    # estimate, one tagged "exact" by Kiefer-Wolfowitz steps on the exact
-    # objective; continuing either would mix two optimisers in one run
-    if blob is not None and ("sa_objective" not in blob
-                             or str(blob["sa_objective"]) != SA_TAG):
-        raise ConfigError(f"{resume_file} was written under another SA "
-                          "objective; start a fresh run without --resume")
-    # a particle path, or weights on another lattice, cannot be continued
     law_shape = (steps_c.n_time + 1, lat_c.n_nodes)
-    if blob is not None and any(name not in blob
-                                or blob[name].shape != law_shape
-                                for name in ("m_bar", "m_induced")):
-        raise ConfigError(f"{resume_file} does not hold {law_shape} node "
-                          "weight tables; start a fresh run without --resume")
+    state = load_state(resume_file, arch, law_shape) \
+        if resume and os.path.exists(resume_file) else None
 
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "config.copy"), "w") as fh:
@@ -343,18 +382,31 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     theta_init = random_theta(arch, substream(config.seed, "theta0"))
     w0, m_bar = _initial_law(problem, lat_c, steps_c, config.seed)
 
+    stage_s = dict.fromkeys(("dp", "measure", "gap", "fit", "sa", "fine_sweep",
+                             "checkpoint", "artifacts"), 0.0)
+
+    def fine_sweep(theta):
+        """Step 6: the fine value table of the network of theta under the
+        current mean path, reindexed to the fine times.  A resume rebuilds
+        the table of the committed iteration with it, so the state file
+        need not hold that table."""
+        with _timed(stage_s, "fine_sweep"):
+            return policy_value_sweep(
+                problem, lat_f, steps_f,
+                reindex_mean_path(mbar_path, steps_c, steps_f),
+                feedback(arch, theta))
+
     k_start = 1
-    if blob is not None:
-        k_start = int(blob["k"]) + 1
-        m_bar = blob["m_bar"]
+    if state is not None:
+        k_start = int(state["k"]) + 1
+        m_bar = state["m_bar"]
         mbar_path = m_bar @ lat_c.points
-        v_prev = blob["v_fine"]
-        m_induced_prev = blob["m_induced"]
-        theta = blob["theta"]
-        first_w2 = int(blob["first_w2"]) if blob["first_w2"] >= 0 else None
-        first_value = int(blob["first_value"]) if blob["first_value"] >= 0 \
-            else None
-        best_g = float(blob["best_g"])
+        m_induced_prev = state["m_induced"]
+        theta = state["theta"]
+        first_w2 = int(state["first_w2"]) if state["first_w2"] >= 0 else None
+        first_value = int(state["first_value"]) \
+            if state["first_value"] >= 0 else None
+        best_g = float(state["best_g"])
         trace_mode = "a"
         _truncate_trace(os.path.join(out, "trace_sa.jsonl"), k_start - 1)
         # a frozen law is not simulated again: read the committed gap back
@@ -364,6 +416,8 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         value_change = last["value_change"]
         # replay the stop test: a run that stopped stays stopped
         w2_hit, value_hit = last["w2_hit"], last["value_hit"]
+        # the committed iteration's step 6, from the same theta and law
+        v_prev = fine_sweep(theta)
     else:
         mbar_path = m_bar @ lat_c.points
         # value tables start from the terminal cost under the initial law
@@ -384,8 +438,6 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
 
     k = k_start - 1
     rule = config.stop_rule
-    stage_s = dict.fromkeys(("dp", "measure", "gap", "fit", "sa", "fine_sweep",
-                             "checkpoint", "artifacts"), 0.0)
     replay, replayed = None, 0
 
     def iterate(k, measure_frozen):
@@ -425,12 +477,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                           trace=sa_trace)
 
         # Step 6: value sweep on the fine lattice under the network control
-        with _timed(stage_s, "fine_sweep"):
-            v_k = policy_value_sweep(
-                problem, lat_f, steps_f,
-                reindex_mean_path(mbar_path, steps_c, steps_f),
-                feedback(arch, theta))
-        return fit_loss, sa_trace, theta, v_k
+        return fit_loss, sa_trace, theta, fine_sweep(theta)
 
     try:
         while True:
@@ -480,7 +527,7 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                 # write then rename, so a crash never leaves a torn state file
                 with open(resume_file + ".tmp", "wb") as fh:
                     np.savez(fh, k=k, m_bar=m_bar, m_induced=m_induced_prev,
-                             v_fine=v_prev, theta=theta,
+                             theta=theta,
                              first_w2=-1 if first_w2 is None else first_w2,
                              first_value=-1 if first_value is None
                              else first_value,
@@ -500,11 +547,8 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
                        u_net)
     value_table_to_csv(os.path.join(out, "value_fine.csv"), lat_f, steps_f,
                        v_prev)
-    fine_field = np.concatenate([
-        policy(np.arange(start, stop) * steps_f.h2, lat_f.points)
-        for start, stop in time_blocks(steps_f.n_time, lat_f.n_nodes)])
     control_field_to_csv(os.path.join(out, "controls.csv"), lat_f, steps_f,
-                         fine_field)
+                         policy)
     measure_path_to_csv(os.path.join(out, "measures.csv"), lat_c, steps_c,
                         m_bar)
     save_checkpoint(os.path.join(out, "theta_final.csv"), arch, theta)

@@ -48,20 +48,21 @@ def gradient(problem, lattice, steps, mbar_path, arch, theta,
         -sum_n sum_x lambda_n(x) d_a Q_n(x, alpha_n(x)) . d alpha_n(x)/d theta,
 
     with lambda_n the law of the chain from uniform node weights
-    (``induced_measure``), V the value table ``values`` that ``improvement``
-    returned for theta, and
+    (``induced_measure``) under the controls alpha_n of the one forward pass
+    over all (t_n, x) rows whose cache the ``vjp`` reads, V the value table
+    ``values`` that ``improvement`` returned for theta, and
     Q_n(x, a) = sum_o p_o(x, a) V_{n+1}(neighbour_o(x)) + f(t_n, x, a) h2.
     d_a Q is a central difference per control component (kicks of 1e-6 of
     the control box, cut at its faces), exact up to rounding since the
     stencil is piecewise linear in the control and the costs quadratic; the
     sum is one ``vjp`` over all (t_n, x) rows.
     """
-    policy = feedback(arch, theta)
     n_nodes, k = lattice.n_nodes, arch.control_dim
-    law = induced_measure(problem, lattice, steps, policy, mbar_path,
-                          np.full(n_nodes, 1.0 / n_nodes))
     fw = _forward_cached(arch, theta, _grid_inputs(arch, lattice, steps))
-    alphas = fw[0].reshape(steps.n_time, n_nodes, 1, k)
+    field = fw[0].reshape(steps.n_time, n_nodes, k)
+    law = induced_measure(problem, lattice, steps, field, mbar_path,
+                          np.full(n_nodes, 1.0 / n_nodes))
+    alphas = field[:, :, None, :]
     lo, hi = problem.control_lower, problem.control_upper
     kicks = np.diag(1e-6 * (hi - lo))
     up, down = np.minimum(alphas + kicks, hi), np.maximum(alphas - kicks, lo)

@@ -318,6 +318,75 @@ class TestRunner:
         assert (tmp_path / "full" / "theta_final.csv").read_bytes() == \
             (tmp_path / "part" / "theta_final.csv").read_bytes()
 
+    def test_resume_state_holds_only_what_a_resume_cannot_rebuild(
+            self, tiny_run):
+        cfg, _ = tiny_run
+        with np.load(os.path.join(cfg.out_dir, "resume_state.npz")) as blob:
+            assert sorted(blob.files) == sorted(
+                ["k", "m_bar", "m_induced", "theta", "first_w2",
+                 "first_value", "best_g", "sa_objective"])
+
+    def test_state_with_a_nan_fine_table_resumes_to_the_same_bytes(
+            self, tmp_path):
+        """A state in the layout that still stored the fine value table
+        resumes, and its table is never read: filled with NaN it still
+        leaves the files of an uninterrupted run."""
+        full = tiny_lq_config(tmp_path / "full", max_iters=4,
+                              stop_rule="value", **TINY_MFG2D)
+        run_algorithm1(full)
+        part = tiny_lq_config(tmp_path / "part", max_iters=2,
+                              stop_rule="value", **TINY_MFG2D)
+        run_algorithm1(part)
+        steps_f, lat_f = part.build()[3:5]
+        state = tmp_path / "part" / "resume_state.npz"
+        with np.load(state) as blob:
+            old = {k: blob[k] for k in blob.files}
+        old["v_fine"] = np.full((steps_f.n_time + 1, lat_f.n_nodes), np.nan)
+        np.savez(state, **old)
+        part.max_iters = 4
+        run_algorithm1(part, resume=True)
+        names = sorted(os.listdir(full.out_dir))
+        assert sorted(os.listdir(part.out_dir)) == names
+        for fname in names:
+            a = (tmp_path / "full" / fname).read_bytes()
+            b = (tmp_path / "part" / fname).read_bytes()
+            if fname == "config.copy":
+                a = a.replace(b"full", b"part")
+            if fname != "timing.txt":
+                assert a == b, fname
+
+    @staticmethod
+    def resume_refused(tmp_path, capsys, edit, **overrides):
+        """Solve two iterations, rewrite the state by ``edit(path)``, then
+        resume through the CLI, to four iterations and with ``overrides``:
+        it must exit 2 with one line naming the state file and leave every
+        file as it was.  Returns that line."""
+        cfg = tiny_lq_config(tmp_path / "out", max_iters=2,
+                             stop_rule="value")
+        run_algorithm1(cfg)
+        state = tmp_path / "out" / "resume_state.npz"
+        edit(state)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        path = tmp_path / "tiny.cfg"
+        path.write_text(dataclasses.replace(cfg, max_iters=4,
+                                            **overrides).to_ini())
+        assert main(["solve", "--config", str(path), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(state) in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert after == before
+        return err
+
+    @staticmethod
+    def rewrite_state(path, **changes):
+        """Rewrite the state at ``path`` with ``changes``; a value of None
+        drops that array."""
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        arrays.update(changes)
+        np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+
     @pytest.mark.parametrize("tag", [None, "mc", "exact"])
     def test_resume_under_another_objective_exit_2(self, tmp_path, capsys,
                                                    tag):
@@ -325,45 +394,51 @@ class TestRunner:
         # estimate, one tagged "exact" by Kiefer-Wolfowitz steps on the exact
         # objective; resuming either would mix two optimisers in one run, so
         # it could not resume to the bytes of an uninterrupted run
-        cfg = tiny_lq_config(tmp_path / "out", max_iters=2,
-                             stop_rule="value")
-        run_algorithm1(cfg)
-        state = tmp_path / "out" / "resume_state.npz"
-        with np.load(state) as blob:
-            old = {k: blob[k] for k in blob.files if k != "sa_objective"}
-        if tag is not None:
-            old["sa_objective"] = tag
-        np.savez(state, **old)
-        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-        cfg.max_iters = 4
-        path = tmp_path / "tiny.cfg"
-        path.write_text(cfg.to_ini())
-        assert main(["solve", "--config", str(path), "--resume"]) == 2
-        assert "another SA objective" in capsys.readouterr().err
-        after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-        assert after == before
+        err = self.resume_refused(tmp_path, capsys, lambda state:
+                                  self.rewrite_state(state, sa_objective=tag))
+        assert "another SA objective" in err
 
     def test_resume_particle_layout_exit_2(self, tmp_path, capsys):
         """A state whose law is a particle path (n_time+1, n, d), as written
         before the law became node weights, is refused and left alone."""
-        cfg = tiny_lq_config(tmp_path / "out", max_iters=2,
-                             stop_rule="value")
-        run_algorithm1(cfg)
-        state = tmp_path / "out" / "resume_state.npz"
-        with np.load(state) as blob:
-            old = {k: blob[k] for k in blob.files}
-        n_time = old["m_bar"].shape[0] - 1
-        cloud = np.random.default_rng(0).uniform(0, 1, (n_time + 1, 100, 1))
-        np.savez(state, **{**old, "m_bar": cloud, "m_induced": cloud})
-        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-        cfg.max_iters = 4
-        path = tmp_path / "tiny.cfg"
-        path.write_text(cfg.to_ini())
-        assert main(["solve", "--config", str(path), "--resume"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and str(state) in err
-        after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-        assert after == before
+        def particles(state):
+            with np.load(state) as blob:
+                n_time = blob["m_bar"].shape[0] - 1
+            cloud = np.random.default_rng(0).uniform(0, 1,
+                                                     (n_time + 1, 100, 1))
+            self.rewrite_state(state, m_bar=cloud, m_induced=cloud)
+
+        self.resume_refused(tmp_path, capsys, particles)
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt", "empty"])
+    def test_resume_unreadable_state_exit_2(self, tmp_path, capsys, damage):
+        """A state cut short by a full disk, or with bytes changed inside
+        an array, is refused: one line, not a zip traceback."""
+        def spoil(state):
+            data = bytearray(state.read_bytes())
+            if damage == "truncated":
+                data = data[:len(data) // 2]
+            elif damage == "corrupt":
+                data[len(data) // 2:len(data) // 2 + 64] = bytes(64)
+            else:
+                data = b""
+            state.write_bytes(bytes(data))
+
+        err = self.resume_refused(tmp_path, capsys, spoil)
+        assert "not a readable resume state" in err
+
+    @pytest.mark.parametrize("key", ["theta", "k", "best_g"])
+    def test_resume_state_missing_a_key_exit_2(self, tmp_path, capsys, key):
+        err = self.resume_refused(tmp_path, capsys, lambda state:
+                                  self.rewrite_state(state, **{key: None}))
+        assert f"lacks {key}" in err
+
+    def test_resume_theta_of_another_network_exit_2(self, tmp_path, capsys):
+        """A state saved under [network] hidden = 4 does not resume a run
+        of hidden = 5: its theta has 17 entries, the network 21."""
+        err = self.resume_refused(tmp_path, capsys, lambda state: None,
+                                  hidden=(5,))
+        assert "theta of shape (17,), not (21,)" in err
 
 
 def _ode_off_by_2e6(params, n_steps):
@@ -420,6 +495,12 @@ class TestCli:
         p.write_text("epsilon=0.0\n")
         assert main(["riccati", "--params", str(p)]) == 2
 
+    def test_riccati_params_is_a_directory_exit_2(self, tmp_path, capsys):
+        assert main(["riccati", "--params", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad parameters: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_riccati_too_few_steps_exit_2(self, capsys):
         assert main(["riccati", "--n", "5"]) == 2
         captured = capsys.readouterr()
@@ -429,6 +510,21 @@ class TestCli:
     def test_solve_missing_config_exit_2(self, capsys):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_solve_config_is_a_directory_exit_2(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read config {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    def test_solve_config_not_utf8_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[model]\nname = lq\n# caf\xe9\n")
+        assert main(["solve", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read config {bad}: ")
+        assert "utf-8" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_solve_invalid_config_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

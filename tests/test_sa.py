@@ -10,7 +10,7 @@ import mfgsolver.runner
 import mfgsolver.sa
 from mfgsolver.errors import NonFiniteEvaluation
 from mfgsolver.lattice import (StepSizes, build_lattice, chain_step,
-                               stencil_probabilities)
+                               stencil_probabilities, time_blocks)
 from mfgsolver.network import (NetworkArchitecture, forward, random_theta,
                                zero_theta)
 from mfgsolver.runner import RunConfig, _initial_law, run_algorithm1
@@ -359,6 +359,38 @@ class TestGradient:
         assert len(g) > 1 and g[-1] > g[0]
         assert all(b >= a for a, b in zip(g, g[1:]))
         assert g[-1] == objective(out)[0]
+
+    def test_matches_central_differences_over_time_blocks(
+            self, shipped_coarse, monkeypatch):
+        # a block budget of 40 steps splits the time loops into three
+        # blocks, so the law under the gradient's one forward pass may round
+        # apart from the block-wise policy that improvement sweeps
+        problem, steps, lat, m, arch = shipped_coarse
+        monkeypatch.setattr(mfgsolver.lattice, "BLOCK_EVALS",
+                            40 * lat.n_nodes)
+        assert len(time_blocks(steps.n_time, lat.n_nodes)) == 3
+        assert gradient_error(problem, steps, lat, m, arch) <= 1e-6
+
+    def test_one_forward_pass_per_gradient(self, shipped_coarse,
+                                           monkeypatch):
+        # the law is taken under the controls of the pass the vjp reads,
+        # so the gradient never evaluates the policy a second time
+        problem, steps, lat, m, arch = shipped_coarse
+        theta = random_theta(arch, substream(29, "one-pass"), scale=1.0)
+        values = improvement(problem, lat, steps, m, arch, theta)[1]
+        want = gradient(problem, lat, steps, m, arch, theta, values)
+        passes = []
+        real = mfgsolver.sa._forward_cached
+
+        def counted(*args):
+            passes.append(args[2].shape)
+            return real(*args)
+
+        monkeypatch.setattr(mfgsolver.sa, "_forward_cached", counted)
+        monkeypatch.setattr(mfgsolver.sa, "feedback", None)
+        np.testing.assert_array_equal(
+            gradient(problem, lat, steps, m, arch, theta, values), want)
+        assert passes == [(steps.n_time * lat.n_nodes, arch.input_dim)]
 
     def test_uniform_visit_weights_fail(self, shipped_coarse, monkeypatch):
         # mutation: weighting every step by the uniform start law instead of
