@@ -1,15 +1,15 @@
 """State/time lattice, locally consistent transition probabilities, and the
-two time loops of the Markov chain approximation, each written once: the
-forward loop ``step_stencils``, which yields each step's controls and
-stencil to the chain rollout (``simulate``, around the ``chain_step``
-kernel) and to the induced law (``measures``), and the backward recursion,
-which ``dp_backward_sweep`` runs with a min over the control grid and
-``policy_value_sweep`` with one control per node (the value table of one
-policy, from which the SA stage takes its objective and gradient).  Both
-loops run by blocks of time steps (``time_blocks``): per block they
-evaluate the controls, one stencil call and the running costs with a
-leading time axis, and per step they keep only what depends on the
-previous step.  The row-level structural checks live in ``checks``.
+time blocks of the Markov chain approximation: ``control_blocks`` yields the
+controls of each block of time steps to the forward equation
+(``measures.induced_measure``) and to ``controls.csv``, and the backward
+recursion, written once, is what ``dp_backward_sweep`` runs with a min over
+the control grid and ``policy_value_sweep`` with one control per node (the
+value table of one policy, from which the SA stage takes its objective and
+gradient).  Both time loops run by blocks of time steps (``time_blocks``):
+per block they evaluate the controls, one stencil call and the running
+costs with a leading time axis, and per step they keep only what depends on
+the previous step.  The chain is never sampled: its expectations are exact.
+The row-level structural checks live in ``checks``.
 
 Transition stencil: each node talks to itself, its axis neighbours
 x +- h1*e_i, and (in d >= 2) the diagonal neighbours x +- h1*e_i +- h1*e_j.
@@ -107,11 +107,9 @@ class Lattice:
     def node(self, flat_index: int) -> np.ndarray:
         return self.points[flat_index]
 
-    def index_of(self, point: np.ndarray) -> int:
-        """Flat index of the nearest lattice node (snap-to-grid)."""
-        return int(self.indices_of(np.atleast_2d(point))[0])
-
     def indices_of(self, points: np.ndarray) -> np.ndarray:
+        """Flat indices of the nearest lattice nodes (snap-to-grid) of the
+        (n, d) ``points``."""
         multi = np.clip(
             np.rint((points - self.lower) / self.spacing).astype(int),
             0, np.array(self.shape) - 1)
@@ -239,31 +237,6 @@ def stencil_probabilities(problem, lattice: Lattice, steps: StepSizes,
     return probs[0] if one else probs
 
 
-def chain_step(lattice: Lattice, probs: np.ndarray, nodes: np.ndarray,
-               rng) -> np.ndarray:
-    """Move every chain one step by inverse-CDF sampling of its stencil row.
-
-    ``probs`` holds the stencil probabilities per node, (n_nodes, n_off),
-    and ``nodes`` the flat nodes of the chains, (..., M).  One uniform u is
-    drawn per chain of the last axis and shared along the leading axes.
-    Returns the new nodes.  Each move is ``argmax(cum > u)``: the count of
-    columns ``<= u`` of the running maximum of ``cum`` (-1e-12 entries make
-    it dip), 0 if all are.  Columns after the last one with mass in any row
-    repeat its cumulative value, so they change no count and are left out.
-    """
-    n_off = probs.shape[-1]
-    mass = probs.any(axis=0)
-    n_used = n_off - int(np.argmax(mass[::-1]))
-    cum = np.maximum.accumulate(np.cumsum(probs[:, :n_used], axis=-1),
-                                axis=-1)
-    u = rng.uniform(size=nodes.shape[-1])
-    offset = np.zeros(nodes.shape, dtype=np.intp)
-    for col in cum.T.copy():
-        offset += np.take(col, nodes) <= u
-    offset[offset == n_used] = 0
-    return np.take(lattice.neighbor_indices().ravel(), nodes * n_off + offset)
-
-
 def control_blocks(lattice: Lattice, steps: StepSizes, controls):
     """Yield ``(start, stop, layers)`` for the blocks of ``time_blocks``
     in order: the (stop - start, n_nodes, k) controls of the time steps
@@ -274,22 +247,6 @@ def control_blocks(lattice: Lattice, steps: StepSizes, controls):
         yield start, stop, (
             controls(np.arange(start, stop) * steps.h2, lattice.points)
             if callable(controls) else controls[start:stop])
-
-
-def step_stencils(problem, lattice: Lattice, steps: StepSizes, controls,
-                  mbar_path: np.ndarray):
-    """Yield ``(n, layer, probs)`` for the time steps n = 0..n_time-1 in
-    order: the (n_nodes, k) controls of step n and their (n_nodes, n_off)
-    stencil probabilities.  ``controls`` is as in ``control_blocks``;
-    controls and stencils are evaluated once per block."""
-    if len(mbar_path) != steps.n_time + 1:
-        raise DimensionMismatch("measure path length must be n_time + 1")
-    for start, stop, layers in control_blocks(lattice, steps, controls):
-        probs = stencil_probabilities(problem, lattice, steps,
-                                      np.arange(start, stop) * steps.h2,
-                                      mbar_path[start:stop],
-                                      layers[:, :, None, :])[:, :, 0]
-        yield from zip(range(start, stop), layers, probs)
 
 
 # ---------------------------------------------------------------------------

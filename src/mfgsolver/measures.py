@@ -16,20 +16,16 @@ the x1 marginals are coupled by quantiles, then, for each coupled pair of x1
 values, the conditional laws of the remaining axes, recursively.  That
 coupling is a transport plan, so the cost is an upper bound on the squared
 W2 (Santambrogio, *Optimal Transport for Applied Mathematicians*, 2015,
-section 2.3), and a gap below the threshold certifies W2 below it.  No solve
-imports scipy.
-
-Only ``wasserstein2`` of clouds in d >= 2 needs ``scipy.optimize`` (for the
-assignment problem), so it is imported on the first such call; ``validate``
-and the acceptance checks are its only callers.
+section 2.3), and a gap below the threshold certifies W2 below it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch
-from .lattice import _grid_table_to_csv, step_stencils
+from . import lattice as lattice_module
+from .errors import DimensionMismatch, LengthMismatch
+from .lattice import _grid_table_to_csv, control_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -60,32 +56,11 @@ def average_update(w_prev: np.ndarray, w_new: np.ndarray, k: int):
     return (k - 1) / k * w_prev + w_new / k
 
 
-def linear_sum_assignment(cost: np.ndarray):
-    """scipy's assignment solver on ``cost``, imported on the first call."""
-    from scipy.optimize import linear_sum_assignment as solve
-    return solve(cost)
-
-
-def wasserstein2(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact W2 between two clouds of n equal-weight atoms each, (n, d).
-
-    1-D uses sorted quantile matching; d >= 2 solves the assignment problem
-    on the squared-Euclidean cost matrix.  Clouds of different sizes raise
-    ``LengthMismatch``.
-    """
-    if a.shape[0] != b.shape[0]:
-        raise LengthMismatch(
-            f"clouds of {a.shape[0]} and {b.shape[0]} atoms")
-    if a.shape[1] == 1:
-        sa = np.sort(a[:, 0])
-        sb = np.sort(b[:, 0])
-        return float(np.sqrt(np.mean((sa - sb) ** 2)))
-    # summed one axis at a time: no (n, n, d) temporary, the same additions
-    cost = (a[:, None, 0] - b[None, :, 0]) ** 2
-    for i in range(1, a.shape[1]):
-        cost += (a[:, None, i] - b[None, :, i]) ** 2
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].mean()))
+def is_law(law: np.ndarray) -> bool:
+    """Whether every row of ``law`` is a law: weights >= 0 that sum to 1
+    within 1e-9 (so none is NaN or inf)."""
+    return bool(np.all(law >= 0.0)
+                and np.all(np.abs(law.sum(axis=-1) - 1.0) <= 1e-9))
 
 
 def _quantile_coupling(a: np.ndarray, b: np.ndarray):
@@ -168,17 +143,25 @@ def w2_stop_threshold(q: float, h1: float) -> float:
 def induced_measure(problem, lattice, steps, controls, mbar_path: np.ndarray,
                     w0: np.ndarray) -> np.ndarray:
     """Law path (n_time + 1, n_nodes) of the chain under the controls of
-    ``lattice.step_stencils`` and a frozen mean path, from the node weights
+    ``lattice.control_blocks`` and a frozen mean path, from the node weights
     ``w0``: the forward equation w_{n+1}[j] = sum_i w_n[i] P_n(i, j), one
     bincount over ``neighbor_indices`` per step (clamped targets merge
-    there).  It is exact and draws nothing."""
+    there), with the controls and stencils evaluated once per block of time
+    steps.  It is exact and draws nothing."""
+    if len(mbar_path) != steps.n_time + 1:
+        raise DimensionMismatch("measure path length must be n_time + 1")
     neigh = lattice.neighbor_indices().ravel()
     law = np.empty((steps.n_time + 1, lattice.n_nodes))
     law[0] = w0
-    for n, _, probs in step_stencils(problem, lattice, steps, controls,
-                                     mbar_path):
-        law[n + 1] = np.bincount(neigh, (law[n][:, None] * probs).ravel(),
-                                 lattice.n_nodes)
+    for start, stop, layers in control_blocks(lattice, steps, controls):
+        # looked up on the module, so that a wrapper set there, such as the
+        # benchmark tracer's, sees these calls
+        probs = lattice_module.stencil_probabilities(
+            problem, lattice, steps, np.arange(start, stop) * steps.h2,
+            mbar_path[start:stop], layers[:, :, None, :])[:, :, 0]
+        for n, step in enumerate(probs, start):
+            law[n + 1] = np.bincount(neigh, (law[n][:, None] * step).ravel(),
+                                     lattice.n_nodes)
     return law
 
 

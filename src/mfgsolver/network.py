@@ -63,10 +63,6 @@ class NetworkArchitecture:
                    for i in range(len(sizes) - 1))
 
 
-def zero_theta(arch: NetworkArchitecture) -> np.ndarray:
-    return np.zeros(arch.n_params)
-
-
 def random_theta(arch: NetworkArchitecture, rng, scale: float = 0.5) -> np.ndarray:
     """Small random weights, zero biases (Xavier-ish scaling)."""
     theta = np.zeros(arch.n_params)

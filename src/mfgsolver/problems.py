@@ -1,8 +1,9 @@
 """Concrete game definitions behind a uniform problem interface.
 
-Two benchmarks are provided: a 1-D linear-quadratic game with common noise
-and a fully known analytic solution (used for validation), and a 2-D game
-on the unit box whose costs couple to the population mean.
+Two benchmarks are provided: a 1-D linear-quadratic game with common noise,
+whose equilibrium control (q + eta_t)(u_t - x) follows from the Riccati
+solution eta (``riccati_closed_form``, checked against its RK4 solve), and a
+2-D game on the unit box whose costs couple to the population mean.
 
 Callback conventions
 --------------------
@@ -88,11 +89,6 @@ class LqParams:
             raise InvalidParams("need sigma > 0")
         if self.T <= 0:
             raise InvalidParams("need T > 0")
-
-
-#: Exact mean of the uniform(0, 1) initial law; used wherever the analytic
-#: solution is evaluated (never replaced by a sample mean).
-LQ_INITIAL_MEAN = 0.5
 
 
 def lq_problem(
@@ -195,53 +191,6 @@ def riccati_ode_solve(params: LqParams, n_steps: int):
         eta[i - 1] = y
     times = np.linspace(0.0, params.T, n_steps + 1)
     return times, eta
-
-
-def lq_analytic_equilibrium(params: LqParams, w0_path: np.ndarray,
-                            times: np.ndarray, n_quad: int = 10_000):
-    """Closed-form equilibrium objects for a given common-noise path.
-
-    ``w0_path`` holds W0 sampled at ``times`` (ascending grid on [0, T]).
-    Returns ``(u_table, alpha_fn, value_fn)`` where ``u_table[i]`` is the
-    conditional mean at ``times[i]``, ``alpha_fn(t, x)`` the equilibrium
-    feedback control and ``value_fn(t, x)`` the value function.
-    """
-    times = np.asarray(times, dtype=float)
-    w0_path = np.asarray(w0_path, dtype=float)
-    if w0_path.shape[0] != times.shape[0]:
-        raise InvalidParams("w0_path and times must have equal length")
-    u_table = LQ_INITIAL_MEAN + params.rho * params.sigma * w0_path
-
-    # cumulative integral of eta on a fine grid (composite Simpson per panel
-    # pair, accumulated from T backward)
-    grid = np.linspace(0.0, params.T, n_quad + 1)
-    eta_grid = riccati_closed_form(params, grid)
-    # trapezoid cumulative is accurate to ~(T/n)^2 ~ 1e-8, enough here;
-    # refine with Simpson on the even grid
-    from scipy.integrate import cumulative_simpson
-    cum = cumulative_simpson(eta_grid, x=grid, initial=0.0)
-    total = cum[-1]
-
-    def eta_at(t):
-        return riccati_closed_form(params, t)
-
-    def tail_integral(t):
-        return total - np.interp(t, grid, cum)
-
-    def u_at(t):
-        return np.interp(t, times, u_table)
-
-    def alpha_fn(t, x):
-        return (params.q + eta_at(t)) * (u_at(t) - x)
-
-    def value_fn(t, x):
-        # the quadratic term is in the deviation from the conditional mean
-        dev = u_at(t) - np.asarray(x)
-        return (0.5 * eta_at(t) * dev ** 2
-                + 0.5 * params.sigma ** 2 * (1.0 - params.rho ** 2)
-                * tail_integral(t))
-
-    return u_table, alpha_fn, value_fn
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ After each iteration ``resume_state.npz`` commits what a resume cannot
 rebuild (``STATE_KEYS``): the laws, theta, the stop-test counters and the
 best G.  The fine value table is a function of theta and the law, so a
 resume rebuilds it with the committed iteration's fine sweep; ``load_state``
-checks a state before the run writes anything.
+checks the state and both traces before the run writes anything.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import functools
 import io
 import itertools
 import json
+import operator
 import os
 import time
 import zipfile
@@ -48,7 +49,7 @@ from .lattice import (StepSizes, build_lattice, control_grid,
                       validate_stepsizes, value_table_to_csv,
                       control_field_to_csv)
 from .measures import (average_update, fixed_point_gap, induced_measure,
-                       measure_path_to_csv, w2_stop_threshold)
+                       is_law, measure_path_to_csv, w2_stop_threshold)
 # not called here: kept only because perfbench/tracer.py wraps
 # ``runner.systematic_resample`` by name, until ROADMAP item 7 drops the hook
 from .measures import systematic_resample  # noqa: F401
@@ -200,8 +201,6 @@ class RunConfig:
         lat_f, controls, arch)``.
 
         A value one of them rejects raises ``ConfigError`` naming its keys.
-        Nothing here or in a solve imports scipy: the W2 gap works on the
-        node weights directly, in any dimension.
         """
         where = "bad model parameters"
         try:
@@ -270,15 +269,21 @@ def _timed(totals: dict, stage: str):
         totals[stage] += time.monotonic() - t0
 
 
-def _truncate_trace(path: str, k: int) -> list:
-    """Keep and return the rows of iterations up to ``k``, the last committed
-    one: a run that stopped before committing its state left later rows."""
-    with open(path) as fh:
-        rows = [row for row in fh
-                if row.endswith("\n") and json.loads(row)["k"] <= k]
-    with open(path, "w") as fh:
-        fh.writelines(rows)
-    return rows
+def _committed_rows(path: str, k: int) -> list:
+    """The complete rows of the trace at ``path`` of iterations up to ``k``,
+    the last committed one: a run that stopped before committing its state
+    left later rows, and a crash can leave a last row without its newline.
+    A missing file, or a complete row that is not a JSON object with an
+    integer ``k``, raises ``ConfigError`` naming the file."""
+    try:
+        with open(path) as fh:
+            rows = [row for row in fh if row.endswith("\n")]
+        return [row for row in rows
+                if operator.index(json.loads(row)["k"]) <= k]
+    except (OSError, UnicodeDecodeError, ValueError, TypeError,
+            KeyError) as exc:
+        raise ConfigError(f"{path} is not a readable trace "
+                          f"({type(exc).__name__}); {FRESH}") from exc
 
 
 def reindex_mean_path(mbar_path: np.ndarray, steps_c: StepSizes,
@@ -299,44 +304,64 @@ SA_TAG = "exact-ascent"
 STATE_KEYS = ("k", "m_bar", "m_induced", "theta", "first_w2", "first_value",
               "best_g", "sa_objective")
 
+#: The traces a resume cuts back to its committed iteration.
+TRACES = ("trace_fixedpoint.jsonl", "trace_sa.jsonl")
 
-def load_state(path: str, arch, law_shape: tuple) -> dict:
-    """The arrays ``STATE_KEYS`` of the resume state at ``path``, checked:
-    a readable ``.npz`` with every key, the SA tag ``SA_TAG``, the
-    ``law_shape`` node-weight tables ``m_bar`` and ``m_induced``, scalar
-    counters and a theta of ``arch``.  Anything else raises ``ConfigError``
-    naming the file, before the run writes anything."""
-    fresh = "start a fresh run without --resume"
+FRESH = "start a fresh run without --resume"
+
+
+def load_state(path: str, arch, law_shape: tuple) -> tuple:
+    """The arrays ``STATE_KEYS`` of the resume state at ``path`` and the
+    committed rows of each of the ``TRACES`` beside it, checked: a readable
+    ``.npz`` with every key, the SA tag ``SA_TAG``, an integer k >= 1, laws
+    ``m_bar`` and ``m_induced`` of ``law_shape`` (``measures.is_law``),
+    scalar counters, a finite theta of ``arch``, and traces that parse,
+    the fixed-point one ending at row k.  Anything else raises
+    ``ConfigError`` naming the file, before the run writes anything."""
     try:
         with np.load(path) as blob:
             state = {name: blob[name] for name in STATE_KEYS
                      if name in blob.files}
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path} is not a readable resume state "
-                          f"({type(exc).__name__}); {fresh}") from exc
+                          f"({type(exc).__name__}); {FRESH}") from exc
     # a state without the tag was written when SA scored the Monte-Carlo
     # estimate, one tagged "exact" by Kiefer-Wolfowitz steps on the exact
     # objective; continuing either would mix two optimisers in one run
     if "sa_objective" not in state or str(state["sa_objective"]) != SA_TAG:
         raise ConfigError(f"{path} was written under another SA objective; "
-                          f"{fresh}")
+                          f"{FRESH}")
     missing = [name for name in STATE_KEYS if name not in state]
     if missing:
-        raise ConfigError(f"{path} lacks {', '.join(missing)}; {fresh}")
-    # a particle path, or weights on another lattice, cannot be continued
-    if any(state[name].shape != law_shape for name in ("m_bar", "m_induced")):
+        raise ConfigError(f"{path} lacks {', '.join(missing)}; {FRESH}")
+    # a particle path, weights on another lattice or a NaN cannot continue
+    if not all(state[name].shape == law_shape and is_law(state[name])
+               for name in ("m_bar", "m_induced")):
         raise ConfigError(f"{path} does not hold {law_shape} node weight "
-                          f"tables; {fresh}")
+                          f"tables that are a law at every time; {FRESH}")
     scalars = ("k", "first_w2", "first_value", "best_g")
     if any(state[name].shape != () for name in scalars):
         raise ConfigError(f"{path} does not hold scalar "
-                          f"{', '.join(scalars)}; {fresh}")
+                          f"{', '.join(scalars)}; {FRESH}")
+    k = state["k"]
+    if not (np.issubdtype(k.dtype, np.integer) and k >= 1):
+        raise ConfigError(f"{path} holds k = {k}, not an integer >= 1; "
+                          f"{FRESH}")
     if state["theta"].shape != (arch.n_params,):
         raise ConfigError(f"{path} holds theta of shape "
                           f"{state['theta'].shape}, not ({arch.n_params},), "
                           f"the network of [network] hidden = "
-                          f"{','.join(map(str, arch.hidden))}; {fresh}")
-    return state
+                          f"{','.join(map(str, arch.hidden))}; {FRESH}")
+    if not np.all(np.isfinite(state["theta"])):
+        raise ConfigError(f"{path} holds a theta that is not finite; {FRESH}")
+    rows = {name: _committed_rows(os.path.join(os.path.dirname(path), name),
+                                  int(k)) for name in TRACES}
+    last = json.loads((rows[TRACES[0]] or ["{}"])[-1])
+    if last.get("k") != k or not {"w2_gap", "value_change", "w2_hit",
+                                  "value_hit"} <= last.keys():
+        raise ConfigError(f"{os.path.join(os.path.dirname(path), TRACES[0])}"
+                          f" does not end at the row of k = {k}; {FRESH}")
+    return state, rows
 
 
 #: Draws of the initial sampler whose node counts make the initial law.
@@ -370,8 +395,9 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
     threshold = w2_stop_threshold(config.w2_q, config.h1_coarse)
     resume_file = os.path.join(out, "resume_state.npz")
     law_shape = (steps_c.n_time + 1, lat_c.n_nodes)
-    state = load_state(resume_file, arch, law_shape) \
-        if resume and os.path.exists(resume_file) else None
+    state, trace_rows = load_state(resume_file, arch, law_shape) \
+        if resume and os.path.exists(resume_file) else (None, dict.fromkeys(
+            TRACES, []))
 
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "config.copy"), "w") as fh:
@@ -407,11 +433,8 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         first_value = int(state["first_value"]) \
             if state["first_value"] >= 0 else None
         best_g = float(state["best_g"])
-        trace_mode = "a"
-        _truncate_trace(os.path.join(out, "trace_sa.jsonl"), k_start - 1)
         # a frozen law is not simulated again: read the committed gap back
-        last = json.loads(_truncate_trace(
-            os.path.join(out, "trace_fixedpoint.jsonl"), k_start - 1)[-1])
+        last = json.loads(trace_rows[TRACES[0]][-1])
         gap = np.inf if last["w2_gap"] is None else last["w2_gap"]
         value_change = last["value_change"]
         # replay the stop test: a run that stopped stays stopped
@@ -431,10 +454,13 @@ def run_algorithm1(config: RunConfig, resume: bool = False) -> RunReport:
         best_g = -np.inf
         gap = value_change = np.inf
         w2_hit = value_hit = False
-        trace_mode = "w"
 
-    trace_fp = open(os.path.join(out, "trace_fixedpoint.jsonl"), trace_mode)
-    trace_sa = open(os.path.join(out, "trace_sa.jsonl"), trace_mode)
+    # a resumed run first cuts both traces back to the committed iteration
+    trace_fp, trace_sa = (open(os.path.join(out, name), "w")
+                          for name in TRACES)
+    for fh, name in zip((trace_fp, trace_sa), TRACES):
+        fh.writelines(trace_rows[name])
+        fh.flush()
 
     k = k_start - 1
     rule = config.stop_rule

@@ -1,10 +1,10 @@
-"""Forward path simulation and Monte-Carlo cost estimation.
+"""Forward path simulation of the continuous dynamics.
 
-Two regimes: Euler-Maruyama paths of the continuous dynamics (optionally
-driven by a shared common-noise increment across all paths), and paths of
-the approximating chain on the lattice.  Both produce a PathBundle that can
-be costed against a frozen mean path of the population, shape
-(n_time + 1, d), or written to CSV.
+Euler-Maruyama paths under a feedback policy and a frozen mean path of the
+population, shape (n_time + 1, d), optionally driven by a shared
+common-noise increment across all paths, as a PathBundle that is written to
+``paths.csv``.  The approximating chain is never sampled: its expectations
+are exact (``lattice``, ``measures``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch
-from .lattice import chain_step, csv_blocks, step_stencils
+from .lattice import csv_blocks
 from .seeding import substream
 
 
@@ -44,16 +44,6 @@ class PathBundle:
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
-
-
-def grid_policy(lattice, field: np.ndarray, steps):
-    """Feedback callable from a grid control field (snap-to-grid lookup)."""
-
-    def policy(t, x):
-        n = min(int(round(t / steps.h2)), field.shape[0] - 1)
-        return field[n][lattice.indices_of(np.atleast_2d(x))]
-
-    return policy
 
 
 def simulate_sde(problem, policy, mbar_path, n_paths: int, steps, seed: int,
@@ -100,48 +90,6 @@ def simulate_sde(problem, policy, mbar_path, n_paths: int, steps, seed: int,
         states[:, n + 1] = x
     return PathBundle(times=steps.times(), states=states, controls=controls,
                       common_noise=w0)
-
-
-def simulate_chain(problem, lattice, steps, controls, mbar_path,
-                   n_paths: int, seed: int, x0=None) -> PathBundle:
-    """Paths of the chain under the controls of ``lattice.step_stencils``,
-    with the controls applied: ``chain_step`` on the ``"chain"`` substream
-    from ``x0`` snapped to the lattice, or from the initial law."""
-    rng = substream(seed, "chain")
-    if x0 is None:
-        nodes = lattice.indices_of(problem.initial_sampler(rng, n_paths))
-    else:
-        nodes = np.full(n_paths, lattice.index_of(np.asarray(x0, dtype=float)))
-    states = np.empty((n_paths, steps.n_time + 1, problem.dim))
-    applied = np.empty((n_paths, steps.n_time, problem.control_dim))
-    states[:, 0] = lattice.points[nodes]
-    for n, layer, probs in step_stencils(problem, lattice, steps, controls,
-                                         mbar_path):
-        applied[:, n] = layer[nodes]
-        nodes = chain_step(lattice, probs, nodes, rng)
-        states[:, n + 1] = lattice.points[nodes]
-    return PathBundle(times=steps.times(), states=states, controls=applied)
-
-
-def estimate_cost(problem, bundle: PathBundle, mbar_path, steps):
-    """Sample mean and standard error of the pathwise cost functional.
-
-    Riemann sum of the running cost on the left endpoints plus the terminal
-    cost, averaged over paths.
-    """
-    if len(mbar_path) != steps.n_time + 1:
-        raise DimensionMismatch("measure path length must be n_time + 1")
-    totals = np.zeros(bundle.n_paths)
-    for n in range(steps.n_time):
-        t = n * steps.h2
-        totals += problem.running_cost(
-            t, bundle.states[:, n], mbar_path[n],
-            bundle.controls[:, n]) * steps.h2
-    totals += problem.terminal_cost(bundle.states[:, -1], mbar_path[-1])
-    mean = float(np.mean(totals))
-    se = float(np.std(totals, ddof=1) / np.sqrt(bundle.n_paths)) \
-        if bundle.n_paths > 1 else 0.0
-    return mean, se
 
 
 def paths_to_csv(bundle: PathBundle, file_path) -> None:

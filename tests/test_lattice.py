@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from mfgsolver.errors import (EmptyControlGrid, NegativeProbability,
                               NonDivisibleDomain, DimensionMismatch)
 from mfgsolver.checks import check_local_consistency, transition_row
-from mfgsolver.lattice import (StepSizes, build_lattice, chain_step,
+from mfgsolver.lattice import (StepSizes, build_lattice,
                                control_field_to_csv, control_grid,
                                dp_backward_sweep, policy_value_sweep,
                                stencil_probabilities, validate_stepsizes,
                                value_table_to_csv)
 from mfgsolver.problems import LqParams, MfgProblem, lq_problem, mfg2d_problem
+from references import chain_step
 
 
 @pytest.fixture(scope="module")
@@ -59,13 +61,12 @@ class TestLattice:
 
     def test_index_round_trip(self, m2d):
         lat = m2d[2]
-        for i in range(lat.n_nodes):
-            assert lat.index_of(lat.node(i)) == i
+        assert lat.indices_of(lat.points).tolist() == list(range(lat.n_nodes))
 
     def test_snap_to_grid_clamps(self, lq):
         lat = lq[2]
-        assert lat.index_of(np.array([-99.0])) == 0
-        assert lat.index_of(np.array([99.0])) == lat.n_nodes - 1
+        assert lat.indices_of(np.array([[-99.0], [99.0]])).tolist() == \
+            [0, lat.n_nodes - 1]
 
     def test_stencil_count(self, lq, m2d):
         assert lq[2].stencil_offsets().shape == (3, 1)
@@ -83,7 +84,7 @@ class TestTransitionRow:
         # b = 0 at the node x=0.4 needs the population mean at 0.4
         problem, steps, lat = lq
         m = np.array([0.4])
-        idx = lat.index_of([0.4])
+        idx = int(lat.indices_of(np.array([[0.4]]))[0])
         row = transition_row(problem, lat, steps, 0.0, idx, m, np.array([0.0]))
         probs = dict(row.targets)
         # sigma=1: p(+-) = 0.5 * h2/h1^2 = 0.125, self-loop 0.75
@@ -94,7 +95,7 @@ class TestTransitionRow:
     def test_drift_shifts_mass(self, lq):
         problem, steps, lat = lq
         m = np.array([0.4])
-        idx = lat.index_of([0.4])
+        idx = int(lat.indices_of(np.array([[0.4]]))[0])
         row = transition_row(problem, lat, steps, 0.0, idx, m, np.array([1.0]))
         probs = dict(row.targets)
         # b = 1: up-move gains b*h1*h2/h1^2 = 0.05
@@ -284,8 +285,8 @@ class TestTimeBlock:
 
 
 class TestChainStep:
-    """The shared kernel draws the same moves as gathering each chain's
-    stencil row first and sampling its cumulative sum."""
+    """``references.chain_step``, the step of the Monte-Carlo tests, moves
+    each chain as a loop over its own stencil row does."""
 
     def test_matches_gathered_rows(self, m2d):
         problem, steps, lat = m2d
@@ -295,11 +296,9 @@ class TestChainStep:
                                       np.array([0.5, 0.5]), alphas)[:, 0]
         nodes = rng.integers(lat.n_nodes, size=500)
         u = np.random.default_rng(8).uniform(size=500)
-        cum = np.cumsum(probs[nodes], axis=1)
-        expected = lat.neighbor_indices()[
-            nodes, np.argmax(cum > u[:, None], axis=1)]
-        got = chain_step(lat, probs, nodes, np.random.default_rng(8))
-        assert np.array_equal(got, expected)
+        got = chain_step(lat.neighbor_indices(), probs, nodes, u)
+        assert np.array_equal(got, loop_chain_step(lat.neighbor_indices(),
+                                                   probs, nodes, u))
 
     def test_rows_share_uniforms(self, m2d):
         """Chains of a (P, M) node array share one uniform per column; with
@@ -311,52 +310,33 @@ class TestChainStep:
                                       np.array([0.3, 0.7]), alphas)
         nodes = rng.integers(lat.n_nodes, size=(3, 200))
         rows = np.arange(3)[:, None]
-        neighbors, folded, flat = fold_rows(lat.neighbor_indices(), probs,
-                                            nodes, rows)
-        got = chain_step(FixedStencil(neighbors), folded, flat,
-                         np.random.default_rng(9))
         u = np.random.default_rng(9).uniform(size=200)
+        got = chain_step(*fold_rows(lat.neighbor_indices(), probs, nodes,
+                                    rows), u)
         for r in range(3):
-            cum = np.cumsum(probs[nodes[r], r], axis=1)
-            expected = lat.neighbor_indices()[
-                nodes[r], np.argmax(cum > u[:, None], axis=1)]
-            assert np.array_equal(got[r], expected)
+            assert np.array_equal(got[r], loop_chain_step(
+                lat.neighbor_indices(), probs[:, r], nodes[r], u))
 
 
-class FixedUniforms:
-    """Stand-in generator whose ``uniform`` returns the given draws."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self, size):
-        assert size == len(self.u)
-        return self.u
-
-
-class FixedStencil:
-    """Stand-in lattice with a given neighbour table, any stencil width."""
-
-    def __init__(self, neighbors):
-        self.neighbors = neighbors
-
-    def neighbor_indices(self):
-        return self.neighbors
-
-
-def reference_chain_step(neighbors, probs, nodes, u, rows=None):
-    """The gather-then-argmax step the kernel replaced.  With ``rows`` (P,
-    1), ``probs`` is (n_nodes, P, n_off) and chain j of row r of ``nodes``
-    (P, M) samples its node's table of row r."""
-    cum = np.cumsum(probs, axis=-1)
-    cum = cum[nodes] if rows is None else cum[nodes, rows]
-    return neighbors[nodes, np.argmax(cum > u[:, None], axis=-1)]
+def loop_chain_step(neighbors, probs, nodes, u, rows=None):
+    """One chain at a time: the target of the first column at which the
+    running sum of the chain's stencil row exceeds its uniform, or of column
+    0 if none does.  With ``rows`` (P, 1), ``probs`` is (n_nodes, P, n_off)
+    and chain j of row r of ``nodes`` (P, M) samples its node's table r."""
+    out = np.empty_like(nodes)
+    for idx in np.ndindex(nodes.shape):
+        row = probs[nodes[idx]] if rows is None else \
+            probs[nodes[idx], rows[idx[0], 0]]
+        above = [j for j, total in enumerate(itertools.accumulate(
+            row.tolist())) if total > u[idx[-1]]]
+        out[idx] = neighbors[nodes[idx], above[0] if above else 0]
+    return out
 
 
 def fold_rows(neighbors, probs, nodes, rows):
-    """A (n_nodes, P, n_off) table as the (n_nodes * P, n_off) table of
-    ``chain_step``: row r of node i is the pseudo-node i * P + r, whose
-    targets are those of node i.  Returns (neighbours, table, flat nodes)."""
+    """A (n_nodes, P, n_off) table as one (n_nodes * P, n_off) table: row r
+    of node i is the pseudo-node i * P + r, whose targets are those of node
+    i.  Returns (neighbours, table, flat nodes)."""
     n_rows = probs.shape[1]
     return (np.repeat(neighbors, n_rows, axis=0),
             probs.reshape(-1, probs.shape[-1]), nodes * n_rows + rows)
@@ -391,7 +371,7 @@ def tricky_uniforms(rng, cum, nodes, rows):
 
 
 class TestChainStepOracle:
-    """The column-count kernel equals ``argmax(cum > u)`` on every finite
+    """The chain step equals the one-chain-at-a-time loop on every finite
     table; P rows of tables are stepped folded into the node axis."""
 
     @pytest.mark.parametrize("n_off", [3, 5, 9])
@@ -408,15 +388,10 @@ class TestChainStepOracle:
             rows = np.arange(n_rows)[:, None]
             nodes = rng.integers(n_nodes, size=(n_rows, n_chains))
         u = tricky_uniforms(rng, np.cumsum(probs, axis=-1), nodes, rows)
-        if rows is None:
-            got = chain_step(FixedStencil(neighbors), probs, nodes,
-                             FixedUniforms(u))
-        else:
-            folded_neighbors, folded, flat = fold_rows(neighbors, probs,
-                                                       nodes, rows)
-            got = chain_step(FixedStencil(folded_neighbors), folded, flat,
-                             FixedUniforms(u))
-        expected = reference_chain_step(neighbors, probs, nodes, u, rows)
+        table = (neighbors, probs, nodes) if rows is None else \
+            fold_rows(neighbors, probs, nodes, rows)
+        got = chain_step(*table, u)
+        expected = loop_chain_step(neighbors, probs, nodes, u, rows)
         assert np.array_equal(got, expected)
         assert got.shape == nodes.shape
 
@@ -431,9 +406,8 @@ class TestChainStepOracle:
     @pytest.mark.parametrize("pattern", sorted(ZERO_COLUMNS))
     @pytest.mark.parametrize("n_rows", [1, 4])
     def test_zero_columns_equal_argmax_reference(self, pattern, n_rows):
-        """Trailing columns without mass in any row may be skipped; zero
-        columns before a column with mass, or zero in only some rows, may
-        not."""
+        """Columns without mass, trailing or not, in all rows or in some,
+        and zeros of either sign."""
         rng = np.random.default_rng(len(pattern) * 10 + n_rows)
         n_nodes, n_chains = 7, 400
         neighbors = rng.integers(n_nodes, size=(n_nodes, 9))
@@ -444,20 +418,17 @@ class TestChainStepOracle:
         rows = np.arange(n_rows)[:, None]
         nodes = rng.integers(n_nodes, size=(n_rows, n_chains))
         u = tricky_uniforms(rng, np.cumsum(probs, axis=-1), nodes, rows)
-        folded_neighbors, folded, flat = fold_rows(neighbors, probs, nodes,
-                                                   rows)
-        got = chain_step(FixedStencil(folded_neighbors), folded, flat,
-                         FixedUniforms(u))
-        assert np.array_equal(got, reference_chain_step(neighbors, probs,
-                                                        nodes, u, rows))
+        got = chain_step(*fold_rows(neighbors, probs, nodes, rows),
+                         u)
+        assert np.array_equal(got, loop_chain_step(neighbors, probs, nodes,
+                                                   u, rows))
 
     def test_no_column_exceeding_u_takes_offset_zero(self):
         neighbors = np.array([[5, 6, 7], [8, 9, 10]])
         probs = np.array([[0.2, 0.3, 0.4], [0.0, 0.0, 0.0]])
         nodes = np.array([0, 0, 1, 1])
         u = np.array([0.95, 0.9, 0.0, 0.5])
-        got = chain_step(FixedStencil(neighbors), probs, nodes,
-                         FixedUniforms(u))
+        got = chain_step(neighbors, probs, nodes, u)
         assert got.tolist() == [5, 5, 8, 8]
 
     def test_ties_and_dips(self):
@@ -467,10 +438,9 @@ class TestChainStepOracle:
         probs = np.array([[0.5, 0.25, -1e-13, 1e-13, 0.25]])
         nodes = np.zeros(4, dtype=int)
         u = np.array([0.5, 0.75, 0.75 - 1e-13, 0.4])
-        got = chain_step(FixedStencil(neighbors), probs, nodes,
-                         FixedUniforms(u))
-        assert np.array_equal(got, reference_chain_step(neighbors, probs,
-                                                        nodes, u))
+        got = chain_step(neighbors, probs, nodes, u)
+        assert np.array_equal(got, loop_chain_step(neighbors, probs, nodes,
+                                                   u))
         assert got.tolist() == [1, 4, 1, 0]
 
 

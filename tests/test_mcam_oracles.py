@@ -1,17 +1,17 @@
-"""Oracles for the backward recursion, the chain loop and the forward
-equation, each written once in ``lattice``.
+"""Oracles for the backward recursion, written once in ``lattice``, and
+the forward equation of ``measures``.
 
-The references below are the loops the solver ran before the recursion and
-the chain loop were shared, one time step at a time: a DP sweep over the
-control grid, a policy sweep under one feedback control and the chain
-rollout.  The induced law has its own reference: products of the node
-weights with the dense transition matrix of each step, built row by row from
-``checks.transition_row``.  The shared code, which evaluates controls,
-stencils and costs once per block of time steps, must give the same arrays
-on the shipped ``lq`` and ``mfg2d`` setups, at the coarse and the fine
-spacing, for grid and callable controls, and for blocks of one step, of a
-length that does not divide the step count, and of the whole horizon.  The
-exact SA evaluator is the policy sweep of one parameter vector: its
+The references below are the loops the solver ran before the recursion was
+shared, one time step at a time: a DP sweep over the control grid and a
+policy sweep under one feedback control.  The induced law has its own
+reference: products of the node weights with the dense transition matrix of
+each step, built row by row from ``checks.transition_row``, and its mean
+path is checked against chains sampled by ``references.ref_simulate_chain``.
+The shared code, which evaluates controls, stencils and costs once per
+block of time steps, must give the same arrays on the shipped ``lq`` and
+``mfg2d`` setups, at the coarse and the fine spacing, for grid and callable
+controls, and for blocks of one step, of a length that does not divide the
+step count, and of the whole horizon.  The exact SA evaluator is the policy sweep of one parameter vector: its
 objective is minus the mean of the sweep's t = 0 row, bit for bit.
 
 Grid fields match bit for bit everywhere, and so do network policies on
@@ -29,14 +29,13 @@ import pytest
 
 from mfgsolver import lattice as lattice_module
 from mfgsolver.checks import transition_row
-from mfgsolver.lattice import (StepSizes, chain_step, dp_backward_sweep,
+from mfgsolver.lattice import (StepSizes, control_blocks, dp_backward_sweep,
                                policy_value_sweep, stencil_probabilities)
 from mfgsolver.measures import induced_measure
 from mfgsolver.network import feedback, random_theta
 from mfgsolver.runner import RunConfig
 from mfgsolver.sa import improvement
-from mfgsolver.seeding import substream
-from mfgsolver.simulate import simulate_chain
+from references import ref_simulate_chain
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -102,28 +101,6 @@ def ref_induced_measure(mats, w0):
     for mat in mats:
         law.append(law[-1] @ mat)
     return np.stack(law)
-
-
-def ref_simulate_chain(problem, lattice, steps, controls, mbar_path, n_paths,
-                       seed, x0=None):
-    rng = substream(seed, "chain")
-    if x0 is None:
-        nodes = lattice.indices_of(problem.initial_sampler(rng, n_paths))
-    else:
-        nodes = np.full(n_paths, lattice.index_of(np.asarray(x0, dtype=float)))
-    states = np.empty((n_paths, steps.n_time + 1, problem.dim))
-    applied = np.empty((n_paths, steps.n_time, problem.control_dim))
-    states[:, 0] = lattice.points[nodes]
-    for n in range(steps.n_time):
-        t = n * steps.h2
-        layer = controls(t, lattice.points) if callable(controls) \
-            else controls[n]
-        probs = stencil_probabilities(problem, lattice, steps, t,
-                                      mbar_path[n], layer[:, None, :])[:, 0]
-        applied[:, n] = layer[nodes]
-        nodes = chain_step(lattice, probs, nodes, rng)
-        states[:, n + 1] = lattice.points[nodes]
-    return states, applied
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +228,20 @@ def test_induced_measure_equals_reference(setup, law_oracle):
 
 @pytest.mark.parametrize("start", ["initial law", "x0"])
 def test_simulate_chain_equals_reference(setup, start):
+    """The reference rollout, which evaluates a policy one step at a time,
+    moves every chain as under the field of ``lattice.control_blocks``, the
+    blocks of controls the forward equation steps through."""
     s = setup
     x0 = None if start == "initial law" else s.lat.points[s.lat.n_nodes // 3]
     for seed, ctrl in enumerate((s.field, s.policies[1])):
-        bundle = simulate_chain(s.problem, s.lat, s.steps, ctrl, s.mbar_path,
-                                40, seed, x0=x0)
-        states, applied = ref_simulate_chain(s.problem, s.lat, s.steps, ctrl,
-                                             s.mbar_path, 40, seed, x0=x0)
-        assert np.array_equal(bundle.states, states)
-        assert_policy_match(s, bundle.controls, applied, ctrl is not s.field)
-        assert np.array_equal(bundle.times, s.steps.times())
+        field = np.concatenate([layers for _, _, layers in
+                                control_blocks(s.lat, s.steps, ctrl)])
+        by_step, by_block = (ref_simulate_chain(
+            s.problem, s.lat, s.steps, c, s.mbar_path, 40, seed, x0=x0)
+            for c in (ctrl, field))
+        assert np.array_equal(by_step.states, by_block.states)
+        assert_policy_match(s, by_step.controls, by_block.controls,
+                            ctrl is not s.field)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +365,8 @@ def test_induced_mean_path_agrees_with_chains(coarse_setup):
     w0[start] = 1.0
     means = induced_measure(problem, lat, steps, policy, mbar_path,
                             w0) @ lat.points
-    states = simulate_chain(problem, lat, steps, policy, mbar_path, 10_000,
-                            seed=8, x0=lat.points[start]).states
+    states = ref_simulate_chain(problem, lat, steps, policy, mbar_path,
+                                10_000, seed=8, x0=lat.points[start]).states
     for n in (steps.n_time // 2, steps.n_time):
         se = states[:, n].std(axis=0, ddof=1) / np.sqrt(len(states))
         assert np.all(se > 0)

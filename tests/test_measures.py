@@ -1,18 +1,16 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linprog
 
-from mfgsolver.errors import LengthMismatch
+from mfgsolver.errors import DimensionMismatch, LengthMismatch
 from mfgsolver.lattice import Lattice, StepSizes, build_lattice, \
     control_grid, dp_backward_sweep
 from mfgsolver.measures import (average_update, fixed_point_gap,
-                                induced_measure, measure_path_to_csv,
-                                systematic_resample, w2_stop_threshold,
-                                wasserstein2)
+                                induced_measure, is_law, measure_path_to_csv,
+                                systematic_resample, w2_stop_threshold)
 from mfgsolver.problems import LqParams, lq_problem
+from references import reference_w2
 
 
 def uniform(n):
@@ -45,15 +43,6 @@ def reference_average(old_path, new_path, k):
         out.append((np.vstack([p_old, p_new]),
                     np.concatenate([w_old * ((k - 1) / k), w_new * (1.0 / k)])))
     return out
-
-
-def reference_w2(pa, pb):
-    if pa.shape[1] == 1:
-        return float(np.sqrt(np.mean((np.sort(pa[:, 0])
-                                      - np.sort(pb[:, 0])) ** 2)))
-    cost = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].mean()))
 
 
 class TestResample:
@@ -122,77 +111,11 @@ class TestAverageUpdate:
                 rtol=1e-13, atol=1e-16)
 
 
-def brute_force_w2(a, b):
-    best = np.inf
-    for perm in itertools.permutations(range(len(a))):
-        cost = np.mean(np.sum((a - b[list(perm)]) ** 2, axis=1))
-        best = min(best, cost)
-    return float(np.sqrt(best))
-
-
 class TestWasserstein:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            d = int(rng.integers(1, 4))
-            a = rng.normal(size=(n, d))
-            b = rng.normal(size=(n, d))
-            w = wasserstein2(a, b)
-            assert w == pytest.approx(brute_force_w2(a, b), abs=1e-12)
-
-    def test_identity(self):
-        m = np.random.default_rng(1).normal(size=(5, 2))
-        assert wasserstein2(m, m) == pytest.approx(0.0, abs=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_metric_axioms(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
-        clouds = [rng.normal(size=(4, 2)) for _ in range(3)]
-        dab = wasserstein2(clouds[0], clouds[1])
-        dba = wasserstein2(clouds[1], clouds[0])
-        dbc = wasserstein2(clouds[1], clouds[2])
-        dac = wasserstein2(clouds[0], clouds[2])
-        assert dab == pytest.approx(dba, abs=1e-12)
-        assert dac <= dab + dbc + 1e-9
-        assert dab >= 0.0
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("n", [40, 256])
-    def test_cost_matrix_equals_summed_form(self, monkeypatch, d, n):
-        import mfgsolver.measures as measures
-
-        seen = []
-
-        def recording_assignment(cost):
-            seen.append(cost.copy())
-            return linear_sum_assignment(cost)
-
-        monkeypatch.setattr(measures, "linear_sum_assignment",
-                            recording_assignment)
-        rng = np.random.default_rng(10 * d + n)
-        a = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 7.0], size=d)
-        b = np.round(rng.uniform(-1, 2, size=(n, d)), 1)
-        wasserstein2(a, b)
-        assert np.array_equal(
-            seen[0], np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
-
-    def test_translation_shift(self):
-        pts = np.random.default_rng(2).normal(size=(6, 1))
-        assert wasserstein2(pts, pts + 3.0) == pytest.approx(3.0, abs=1e-12)
-
     def test_threshold(self):
         assert w2_stop_threshold(0.5, 0.2) == pytest.approx(0.08)
         with pytest.raises(ValueError):
             w2_stop_threshold(1.0, 0.2)
-
-    def test_unequal_sizes_raise(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(LengthMismatch):
-            wasserstein2(rng.normal(size=(40, 1)), rng.normal(size=(30, 1)))
-        with pytest.raises(LengthMismatch):
-            wasserstein2(rng.normal(size=(5, 2)), rng.normal(size=(6, 2)))
 
     def test_gap_over_path(self):
         # all mass at node 0 against all mass at nodes 0, 2 and 1
@@ -301,6 +224,22 @@ class TestFixedPointGap:
         assert fixed_point_gap(a, b, lat.points) == \
             pytest.approx(max(ref), abs=1e-14)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equal_atoms_against_the_assignment_w2(self, d):
+        """Laws of n equal atoms on the nodes, for n beyond the brute force
+        of criterion 4: the gap is the squared W2 of the two atom clouds in
+        1-D, and at least it in 2-D."""
+        rng = np.random.default_rng(27 + d)
+        lat = cube(d, 0.125)
+        for n in (7, 16, 40):
+            atoms_a, atoms_b = rng.integers(lat.n_nodes, size=(2, n))
+            a, b = (np.bincount(atoms, minlength=lat.n_nodes)[None] / n
+                    for atoms in (atoms_a, atoms_b))
+            gap = fixed_point_gap(a, b, lat.points)
+            w2 = reference_w2(lat.points[atoms_a], lat.points[atoms_b]) ** 2
+            assert gap == pytest.approx(w2, abs=1e-12) if d == 1 \
+                else gap >= w2 - 1e-12
+
     @pytest.mark.parametrize("d,spacing", [(1, 0.1), (2, 0.2), (3, 0.5)])
     def test_symmetric_and_zero_on_itself(self, d, spacing):
         rng = np.random.default_rng(24 + d)
@@ -369,6 +308,19 @@ class TestInducedMeasure:
         assert np.array_equal(law[0], w0)
         assert law.min() >= 0.0
         np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_mean_path_of_another_length_raises(self, setup):
+        problem, steps, lat, m0, field = setup
+        with pytest.raises(DimensionMismatch):
+            induced_measure(problem, lat, steps, field, m0[:-1],
+                            np.eye(lat.n_nodes)[0])
+
+    def test_is_law(self):
+        # a law at every time: one row that is not spoils the path
+        assert is_law(np.array([[1.0, 0.0], [0.25, 0.75]]))
+        for row in ([0.5, 0.5 + 2e-9], [-0.25, 1.25], [np.nan, 1.0],
+                    [np.inf, 0.0]):
+            assert not is_law(np.array([[1.0, 0.0], row]))
 
     def test_mean_attracted_to_population_mean(self, setup):
         # optimal LQ control pulls states toward the frozen mean 0.5

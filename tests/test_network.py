@@ -11,7 +11,7 @@ from mfgsolver.network import (NetworkArchitecture, _fit_dataset,
                                _forward_cached, backtracking_step, fit_loss,
                                fit_to_grid, forward, grad_fit_loss_raw,
                                load_checkpoint, random_theta, save_checkpoint,
-                               vjp, zero_theta)
+                               vjp)
 from mfgsolver.problems import LqParams, lq_problem
 from mfgsolver.runner import RunConfig, _initial_law
 from mfgsolver.seeding import substream
@@ -52,11 +52,11 @@ class TestForward:
         assert np.all(out >= 0.0) and np.all(out <= 1.5)
 
     def test_zero_theta_gives_midpoint(self, arch):
-        out = forward(arch, zero_theta(arch), 0.3, np.zeros((4, 2)))
+        out = forward(arch, np.zeros(arch.n_params), 0.3, np.zeros((4, 2)))
         np.testing.assert_allclose(out, 0.75)
 
     def test_batch_shapes(self, arch):
-        theta = zero_theta(arch)
+        theta = np.zeros(arch.n_params)
         out = forward(arch, theta, 0.1, np.zeros((3, 4, 2)))
         assert out.shape == (3, 4, 2)
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from mfgsolver.errors import InvalidParams, OutOfHorizon
-from mfgsolver.problems import (LQ_INITIAL_MEAN, LqParams,
-                                lq_analytic_equilibrium, lq_problem,
-                                mfg2d_problem, riccati_closed_form,
-                                riccati_ode_solve)
+from mfgsolver.problems import (LqParams, lq_problem, mfg2d_problem,
+                                riccati_closed_form, riccati_ode_solve)
+from references import LQ_INITIAL_MEAN, lq_analytic_equilibrium
 
 
 class TestLqParams:

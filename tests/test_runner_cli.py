@@ -17,7 +17,7 @@ from mfgsolver import checks
 from mfgsolver.cli import main
 from mfgsolver.errors import ConfigError
 from mfgsolver.lattice import StepSizes
-from mfgsolver.measures import fixed_point_gap, wasserstein2
+from mfgsolver.measures import fixed_point_gap
 from mfgsolver.network import forward, grad_fit_loss_raw, load_checkpoint
 from mfgsolver.problems import riccati_ode_solve
 from mfgsolver.runner import CONFIG_SCHEMA, RunConfig, run_algorithm1
@@ -356,11 +356,12 @@ class TestRunner:
                 assert a == b, fname
 
     @staticmethod
-    def resume_refused(tmp_path, capsys, edit, **overrides):
+    def resume_refused(tmp_path, capsys, edit, file="resume_state.npz",
+                       **overrides):
         """Solve two iterations, rewrite the state by ``edit(path)``, then
         resume through the CLI, to four iterations and with ``overrides``:
-        it must exit 2 with one line naming the state file and leave every
-        file as it was.  Returns that line."""
+        it must exit 2 with one line naming ``file`` of the run and leave
+        every file as it was.  Returns that line."""
         cfg = tiny_lq_config(tmp_path / "out", max_iters=2,
                              stop_rule="value")
         run_algorithm1(cfg)
@@ -372,7 +373,8 @@ class TestRunner:
                                             **overrides).to_ini())
         assert main(["solve", "--config", str(path), "--resume"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and str(state) in err
+        assert err.startswith("config error")
+        assert str(tmp_path / "out" / file) in err
         assert err.count("\n") == 1 and err.endswith("\n")
         after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
         assert after == before
@@ -440,6 +442,63 @@ class TestRunner:
                                   hidden=(5,))
         assert "theta of shape (17,), not (21,)" in err
 
+    @pytest.mark.parametrize("k", [0, -3, 1.5, 9])
+    def test_resume_k_not_a_committed_iteration_exit_2(self, tmp_path,
+                                                       capsys, k):
+        """k is an integer >= 1, and the fixed-point trace ends at row k: a
+        state of k = 9 beside a trace whose last row is k = 2 would report
+        nine iterations after two were run."""
+        err = self.resume_refused(
+            tmp_path, capsys,
+            lambda state: self.rewrite_state(state, k=np.array(k)),
+            file="trace_fixedpoint.jsonl" if k == 9 else "resume_state.npz")
+        assert ("does not end at the row of k = 9" if k == 9
+                else "not an integer >= 1") in err
+
+    @pytest.mark.parametrize("name,damage", [
+        ("trace_fixedpoint.jsonl", "missing"),
+        ("trace_fixedpoint.jsonl", "empty"),
+        ("trace_fixedpoint.jsonl", "garbled"),
+        ("trace_fixedpoint.jsonl", "cut"),
+        ("trace_fixedpoint.jsonl", "fields"),
+        ("trace_sa.jsonl", "missing"),
+        ("trace_sa.jsonl", "garbled")])
+    def test_resume_damaged_trace_exit_2(self, tmp_path, capsys, name,
+                                         damage):
+        """The traces are resume input as the state is: a missing trace, a
+        row that is not JSON, or a fixed-point trace whose committed row is
+        absent, cut short by a crash or without the stop test is refused."""
+        def spoil(state):
+            trace = state.with_name(name)
+            rows = trace.read_text().splitlines(keepends=True)
+            trace.unlink()
+            last = {"garbled": '{"k": 2, oops}\n', "fields": '{"k": 2}\n',
+                    "cut": rows[-1][:-9]}
+            if damage == "empty":
+                trace.write_text("")
+            elif damage != "missing":
+                trace.write_text("".join(rows[:-1]) + last[damage])
+
+        self.resume_refused(tmp_path, capsys, spoil, file=name)
+
+    @pytest.mark.parametrize("name,index,delta", [
+        ("m_bar", (0, 0), np.nan), ("m_bar", (3, [0, 1]), [-0.1, 0.1]),
+        ("m_induced", (-1, 0), 0.5), ("theta", 3, np.nan),
+        ("theta", 3, np.inf)], ids=["m_bar-nan", "m_bar-negative",
+                                     "m_induced-mass", "theta-nan",
+                                     "theta-inf"])
+    def test_resume_law_or_theta_out_of_range_exit_2(self, tmp_path, capsys,
+                                                     name, index, delta):
+        def spoil(state):
+            with np.load(state) as blob:
+                array = blob[name].copy()
+            array[index] += delta
+            self.rewrite_state(state, **{name: array})
+
+        err = self.resume_refused(tmp_path, capsys, spoil)
+        assert ("theta that is not finite" if name == "theta"
+                else "a law at every time") in err
+
 
 def _ode_off_by_2e6(params, n_steps):
     times, eta = riccati_ode_solve(params, n_steps)
@@ -458,10 +517,6 @@ def _skewed_stencil(*args):
 def _gradient_off_by_1e3(*args):
     loss, g = grad_fit_loss_raw(*args)
     return loss, g + 1e-3
-
-
-def _asymmetric_w2(a, b):
-    return wasserstein2(a, b) + 1e-9 * b[0, 0]
 
 
 def _first_axis_gap(w_a, w_b, points):
@@ -633,8 +688,6 @@ class TestCli:
         ("stencil_probabilities", _skewed_stencil,
          ["lq interior rows", "mfg2d interior rows"]),
         ("grad_fit_loss_raw", _gradient_off_by_1e3, ["network gradient"]),
-        ("wasserstein2", _asymmetric_w2,
-         ["wasserstein metric axioms", "fixed-point gap bounds"]),
         ("fixed_point_gap", _first_axis_gap, ["fixed-point gap bounds"]),
     ]
 

